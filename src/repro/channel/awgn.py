@@ -23,8 +23,13 @@ def complex_awgn(num_samples: int, power: float, rng=None) -> np.ndarray:
         raise ValueError(f"num_samples must be >= 0, got {num_samples}")
     ensure_non_negative(power, "power")
     gen = make_rng(rng)
-    scale = np.sqrt(power / 2.0)
-    return scale * (gen.normal(size=num_samples) + 1j * gen.normal(size=num_samples))
+    # Built in place, real draws first: the same values as
+    # ``scale * (re + 1j * im)`` without its three temporaries.
+    z = np.empty(num_samples, dtype=np.complex128)
+    z.real = gen.normal(size=num_samples)
+    z.imag = gen.normal(size=num_samples)
+    z *= np.sqrt(power / 2.0)
+    return z
 
 
 def noise_power_for_snr(signal: np.ndarray, snr_db: float, reference_power: float | None = None) -> float:

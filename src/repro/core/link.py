@@ -386,10 +386,9 @@ class LinkSimulator:
           counterparts.
 
         Batches share the serial path's result cache entries (same key),
-        so a warm cache serves either path.  Front-end impairments force
-        ``phase_track``, whose Costas recursion has nothing to batch —
-        that configuration falls back to :meth:`run_packets`, as does
-        ``batch_size <= 1``.
+        so a warm cache serves either path.  Front-end impairments apply
+        per packet and switch the stacked receiver to phase tracking;
+        ``batch_size <= 1`` falls back to :meth:`run_packets`.
         """
         if num_packets < 1:
             raise ValueError(f"num_packets must be >= 1, got {num_packets}")
@@ -402,7 +401,7 @@ class LinkSimulator:
             payload=payload,
             jammer_delay_samples=jammer_delay_samples,
         )
-        if batch <= 1 or (self.impairments is not None and not self.impairments.is_ideal):
+        if batch <= 1:
             return self.run_packets(num_packets, cache=cache, **common)
 
         if cache is None:
@@ -441,11 +440,12 @@ class LinkSimulator:
                     jammer_delay_samples=jammer_delay_samples,
                     rng=gen,
                 )
-                received.append(block.samples)
+                received.append(self.rx_path.front_end(block.samples))
             results = self.receiver.receive_batch(
                 received,
                 payload_len=len(packets[0].payload),
                 packet_indices=indices,
+                phase_track=self.rx_path.needs_phase_tracking,
             )
             for packet, result in zip(packets, results):
                 outcome = self.rx_path.score(packet, result)

@@ -31,7 +31,9 @@ import numpy as np
 from repro.core.config import BHSSConfig
 from repro.core.control import ControlLogic, FilterDecision, FilterKind
 from repro.core.transmitter import ROW_CHUNK
-from repro.dsp.fir import apply_fir, apply_fir_batch
+# ``apply_fir`` is re-exported: ``bench/tracing.py`` attributes the serial
+# FIR layer through this module's name for it.
+from repro.dsp.fir import apply_fir, apply_fir_batch  # noqa: F401
 from repro.dsp.mixing import frequency_shift, phase_rotate
 from repro.phy.frame import ParsedFrame
 from repro.phy.qpsk import binary_chips_to_complex, complex_chips_to_binary
@@ -106,68 +108,15 @@ class BHSSReceiver:
     ) -> ReceiveResult:
         """Demodulate one packet whose start is sample-aligned.
 
-        ``payload_len`` sets the expected frame size (defaults to the
-        configured payload size — in a real system the length field would
-        be decoded first; the fixed-size assumption only pins the frame
-        geometry, not the content).
-
-        ``phase_track`` enables a chip-rate Costas loop between matched
-        filter and despreader, for waveforms with residual carrier error.
+        The one-capture case of :meth:`receive_batch`.  ``payload_len``
+        sets the expected frame size (defaults to the configured payload
+        size — in a real system the length field would be decoded first;
+        the fixed-size assumption only pins the frame geometry, not the
+        content).  ``phase_track`` enables a chip-rate Costas loop between
+        matched filter and despreader, for waveforms with residual carrier
+        error.
         """
-        x = as_complex_array(waveform, "waveform")
-        n_payload = self.config.payload_bytes if payload_len is None else payload_len
-        frame_symbols = self.config.frame_format.frame_symbols(n_payload)
-        num_symbols = self.coder.coded_symbols(frame_symbols)
-        segments = self.schedule.segments(num_symbols, packet_index)
-
-        cps = self.config.chips_per_symbol
-        costas = CostasLoop(loop_bandwidth=0.02) if phase_track else None
-
-        all_symbols = np.empty(num_symbols, dtype=np.int64)
-        decisions: list[FilterDecision] = []
-        qualities: list[float] = []
-        pos = 0
-        for seg in segments:
-            n_samples = seg.num_symbols * (cps // 2) * seg.sps
-            block = x[pos : pos + n_samples]
-            pos += n_samples
-            if block.size < n_samples:
-                # Truncated capture: decide the missing symbols arbitrarily
-                # and record them as zero-quality so the packet's mean
-                # despreading quality reflects the loss (averaging only the
-                # surviving segments would read biased-high).
-                all_symbols[seg.start_symbol : seg.start_symbol + seg.num_symbols] = 0
-                qualities.extend([0.0] * seg.num_symbols)
-                continue
-
-            if self.config.filtering:
-                decision = self.control.decide(block, seg.bandwidth)
-                decisions.append(decision)
-                if decision.taps is not None:
-                    block = apply_fir(block, decision.taps, mode="compensated")
-
-            soft = self.modulator.demodulate(
-                block,
-                seg.sps,
-                num_chips=seg.num_symbols * cps,
-                matched=self.config.matched_filter,
-            )
-            if costas is not None:
-                tracked = costas.process(binary_chips_to_complex(soft))
-                soft = complex_chips_to_binary(tracked.corrected)
-            result = self.modem.despread(soft, start_chip=seg.start_symbol * cps)
-            all_symbols[seg.start_symbol : seg.start_symbol + seg.num_symbols] = result.symbols
-            qualities.extend(result.quality.tolist())
-
-        decoded = self.coder.decode(all_symbols, frame_symbols)
-        frame = self.config.frame_format.parse(decoded)
-        quality = float(np.mean(qualities)) if qualities else 0.0
-        return ReceiveResult(
-            frame=frame,
-            symbols=decoded,
-            decisions=tuple(decisions),
-            quality=quality,
-        )
+        return self.receive_batch([waveform], payload_len, [packet_index], phase_track)[0]
 
     def receive_batch(
         self,
@@ -176,22 +125,28 @@ class BHSSReceiver:
         packet_indices: Sequence[int] | None = None,
         phase_track: bool = False,
     ) -> list[ReceiveResult]:
-        """Batched :meth:`receive` over a sequence of captured packets.
+        """Demodulate a sequence of sample-aligned captured packets.
 
         ``waveforms`` is a sequence of 1-D complex captures (lengths may
         differ — a bandwidth-hopped packet's duration depends on its hop
         draw); ``packet_indices`` aligns each capture with its hop
-        substream (defaults to ``0, 1, 2, ...``).  Result ``i`` is
-        bit-identical to ``receive(waveforms[i], payload_len,
-        packet_indices[i], phase_track)``.
+        substream (defaults to ``0, 1, 2, ...``).  Result ``i`` depends on
+        capture ``i`` alone: it is bit-identical to ``receive(waveforms[i],
+        payload_len, packet_indices[i], phase_track)``.
 
         Complete (packet, segment) blocks are grouped by ``(num_symbols,
         sps, bandwidth)`` — the segment's chip offset is a per-row
         scramble-phase input, not a shape — and each group goes through
         one stacked decide → filter → matched-filter → despread chain.
-        Truncated captures take the serial zero-quality path per segment.
-        ``phase_track=True`` falls back to the serial receiver per packet:
-        the Costas loop is a sequential recursion with nothing to batch.
+        Segments a truncated capture does not cover decode as zero symbols
+        of zero quality, so the packet's mean despreading quality reflects
+        the loss (averaging only the surviving segments would read
+        biased-high).
+
+        ``phase_track=True`` runs the chip-rate Costas loop between the
+        matched filter and the despreader: one loop per packet walks that
+        packet's complete segments in schedule order, so the loop state
+        carries from segment to segment.
         """
         waveforms = list(waveforms)
         if packet_indices is None:
@@ -201,11 +156,6 @@ class BHSSReceiver:
             raise ValueError(
                 f"got {len(waveforms)} waveforms but {len(packet_indices)} packet indices"
             )
-        if phase_track:
-            return [
-                self.receive(w, payload_len=payload_len, packet_index=k, phase_track=True)
-                for w, k in zip(waveforms, packet_indices)
-            ]
         if not waveforms:
             return []
 
@@ -217,18 +167,15 @@ class BHSSReceiver:
         num_packets = len(xs)
 
         segment_lists = [self.schedule.segments(num_symbols, k) for k in packet_indices]
-        num_segments = len(segment_lists[0])
         all_symbols = np.empty((num_packets, num_symbols), dtype=np.int64)
-        seg_quality: list[list[np.ndarray | None]] = [
-            [None] * num_segments for _ in range(num_packets)
-        ]
+        seg_quality: list[list[np.ndarray | None]] = [[None] * len(s) for s in segment_lists]
         seg_decision: list[list[FilterDecision | None]] = [
-            [None] * num_segments for _ in range(num_packets)
+            [None] * len(s) for s in segment_lists
         ]
 
         # Group complete (packet, segment) blocks by segment length,
-        # stretch factor, and hop bandwidth; truncated blocks take the
-        # serial zero-quality path immediately.
+        # stretch factor, and hop bandwidth; blocks past the end of a
+        # truncated capture decode as zero symbols of zero quality.
         groups: dict[tuple[int, int, float], list[tuple[int, int, int, int]]] = {}
         for p, segments in enumerate(segment_lists):
             pos = 0
@@ -242,36 +189,17 @@ class BHSSReceiver:
                     groups.setdefault(key, []).append((p, s, pos, seg.start_symbol))
                 pos += n_samples
 
-        chunked = (
+        chunks = [
             (key, all_members[i : i + ROW_CHUNK])
             for key, all_members in groups.items()
             for i in range(0, len(all_members), ROW_CHUNK)
-        )
-        for (seg_symbols, sps, bandwidth), members in chunked:
-            n_samples = seg_symbols * (cps // 2) * sps
-            blocks = np.stack([xs[p][off : off + n_samples] for p, _s, off, _start in members])
-            if self.config.filtering:
-                decisions = self.control.decide_batch(blocks, bandwidth)
-                lp_rows = [i for i, d in enumerate(decisions) if d.kind is FilterKind.LOWPASS]
-                if lp_rows:
-                    blocks[lp_rows] = apply_fir_batch(
-                        blocks[lp_rows], decisions[lp_rows[0]].taps, mode="compensated"
-                    )
-                exc_rows = [i for i, d in enumerate(decisions) if d.kind is FilterKind.EXCISION]
-                if exc_rows:
-                    blocks[exc_rows] = apply_fir_batch(
-                        blocks[exc_rows],
-                        np.stack([decisions[i].taps for i in exc_rows]),
-                        mode="compensated",
-                    )
-                for row, (p, s, _off, _start) in enumerate(members):
-                    seg_decision[p][s] = decisions[row]
-            soft = self.modulator.demodulate_batch(
-                blocks,
-                sps,
-                num_chips=seg_symbols * cps,
-                matched=self.config.matched_filter,
-            )
+        ]
+        softs = [
+            self._soft_chips(xs, key, members, seg_decision) for key, members in chunks
+        ]
+        if phase_track:
+            self._track_phase(chunks, softs, num_packets)
+        for ((seg_symbols, _sps, _bandwidth), members), soft in zip(chunks, softs):
             starts = np.fromiter((start * cps for _p, _s, _off, start in members), dtype=int)
             result = self.modem.despread_batch(soft, start_chip=starts)
             for row, (p, s, _off, start) in enumerate(members):
@@ -296,6 +224,71 @@ class BHSSReceiver:
                 )
             )
         return out
+
+    def _soft_chips(
+        self,
+        xs: list[np.ndarray],
+        key: tuple[int, int, float],
+        members: list[tuple[int, int, int, int]],
+        seg_decision: list[list[FilterDecision | None]],
+    ) -> np.ndarray:
+        """Decide, filter and matched-filter one group of hop segments.
+
+        Returns the ``(rows, chips)`` soft chips; the filter decisions land
+        in ``seg_decision``.  The captures in ``xs`` are never written.
+        """
+        seg_symbols, sps, bandwidth = key
+        cps = self.config.chips_per_symbol
+        n_samples = seg_symbols * (cps // 2) * sps
+        if len(members) == 1:
+            p, _s, off, _start = members[0]
+            blocks = xs[p][None, off : off + n_samples]  # a view, not a copy
+        else:
+            blocks = np.stack([xs[p][off : off + n_samples] for p, _s, off, _start in members])
+        if self.config.filtering:
+            decisions = self.control.decide_batch(blocks, bandwidth)
+            for row, (p, s, _off, _start) in enumerate(members):
+                seg_decision[p][s] = decisions[row]
+            for kind in (FilterKind.LOWPASS, FilterKind.EXCISION):
+                rows = [i for i, d in enumerate(decisions) if d.kind is kind]
+                if not rows:
+                    continue
+                if kind is FilterKind.LOWPASS:
+                    taps = decisions[rows[0]].taps  # one design per group
+                else:
+                    taps = np.stack([decisions[i].taps for i in rows])
+                assert taps is not None  # low-pass and excision decisions carry taps
+                if len(rows) == len(blocks):
+                    # The whole group takes this filter: no gather/scatter
+                    # copies, and a one-row view of a capture stays unwritten.
+                    blocks = apply_fir_batch(blocks, taps, mode="compensated")
+                else:
+                    blocks[rows] = apply_fir_batch(blocks[rows], taps, mode="compensated")
+        return self.modulator.demodulate_batch(
+            blocks, sps, num_chips=seg_symbols * cps, matched=self.config.matched_filter
+        )
+
+    @staticmethod
+    def _track_phase(
+        chunks: list[tuple[tuple[int, int, float], list[tuple[int, int, int, int]]]],
+        softs: list[np.ndarray],
+        num_packets: int,
+    ) -> None:
+        """Run one chip-rate Costas loop per packet over its soft chips, in place.
+
+        Each packet's complete segments are visited in schedule order, so
+        the loop's phase and frequency state carries across segments.
+        """
+        where = {
+            (p, s): (chunk, row)
+            for chunk, (_key, members) in enumerate(chunks)
+            for row, (p, s, _off, _start) in enumerate(members)
+        }
+        loops = [CostasLoop(loop_bandwidth=0.02) for _ in range(num_packets)]
+        for p, s in sorted(where):
+            chunk, row = where[p, s]
+            tracked = loops[p].process(binary_chips_to_complex(softs[chunk][row]))
+            softs[chunk][row] = complex_chips_to_binary(tracked.corrected)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ validate and coerce their arguments here, then dispatch the numerics to the
 active :mod:`repro.backend` — the NumPy reference backend runs the
 ``_*_reference`` bodies below (bit-identical to the serial twins), while
 accelerated backends may substitute their own tolerance-checked kernels.
+Serial :func:`apply_fir` runs the overlap-save reference body on one row.
 """
 
 from __future__ import annotations
@@ -153,6 +154,12 @@ def _next_fast_len(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+#: Complex values per stacked FFT in the chunked kernels (256 KiB per
+#: temporary): enough rows to amortize the per-call overhead, while a
+#: long capture is never transformed as one whole-length temporary.
+FFT_CHUNK = 1 << 14
+
+
 def _default_block_size(n: int, k: int) -> int:
     """Overlap-save FFT block length for an ``n``-sample signal, ``k`` taps.
 
@@ -247,14 +254,20 @@ def _fft_convolve_batch_reference(
     x: np.ndarray, h: np.ndarray, taps_fft: np.ndarray | None
 ) -> np.ndarray:
     """The NumPy oracle kernel of :func:`fft_convolve_batch` (validated inputs)."""
+    rows = x.shape[0]
     n_out = x.shape[1] + h.shape[-1] - 1
     nfft = _next_fast_len(n_out)
     if taps_fft is None:
         taps_fft = np.fft.fft(h, nfft, axis=-1)
-    spec = np.fft.fft(x, nfft, axis=-1) * taps_fft
-    out = np.fft.ifft(spec, axis=-1)[:, :n_out]
-    if np.isrealobj(x) and np.isrealobj(h):
-        return out.real
+    complex_out = np.iscomplexobj(x) or np.iscomplexobj(h)
+    out = np.empty((rows, n_out), dtype=np.complex128 if complex_out else np.float64)
+    per_chunk = max(1, FFT_CHUNK // nfft)
+    for r in range(0, rows, per_chunk):
+        chunk = slice(r, r + per_chunk)
+        spec = np.fft.fft(x[chunk], nfft, axis=-1)
+        spec *= taps_fft if taps_fft.ndim == 1 else taps_fft[chunk]
+        y = np.fft.ifft(spec, axis=-1)[:, :n_out]
+        out[chunk] = y if complex_out else y.real
     return out
 
 
@@ -309,34 +322,47 @@ def _apply_fir_batch_reference(
         nfft = _next_fast_len(2 * k)
         step = nfft - (k - 1)
 
-    hf = np.fft.fft(h, nfft, axis=-1)  # (nfft,) or (R, nfft) — broadcasts either way
     n_out = n + k - 1
-    complex_out = np.iscomplexobj(x) or np.iscomplexobj(h)
-    out = np.empty((rows, n_out), dtype=np.complex128 if complex_out else np.float64)
-
-    # Zero-pad far enough that every overlap-save block is a plain view —
-    # the trailing zeros are exactly what the serial path appends blockwise.
-    num_blocks = -(-n_out // step)
-    padded = np.zeros((rows, (num_blocks - 1) * step + nfft), dtype=x.dtype)
-    padded[:, k - 1 : k - 1 + n] = x
-    pos = 0
-    while pos < n_out:
-        block = padded[:, pos : pos + nfft]
-        y = np.fft.ifft(np.fft.fft(block, axis=-1) * hf, axis=-1)
-        take = min(step, n_out - pos)
-        chunk = y[:, k - 1 : k - 1 + take]
-        out[:, pos : pos + take] = chunk if complex_out else chunk.real
-        pos += take
-
     if mode == "full":
-        return out
-    if mode == "same":
-        start = (k - 1) // 2
-        return out[:, start : start + n]
-    if mode == "compensated":
-        delay = (k - 1) // 2
-        return out[:, delay : delay + n]
-    raise ValueError(f"unknown mode {mode!r}; expected 'compensated', 'same', or 'full'")
+        first, count = 0, n_out
+    elif mode in ("compensated", "same"):
+        # Both drop the (k-1)/2-sample group delay of the odd-length
+        # filters they are meant for.
+        first, count = (k - 1) // 2, n
+    else:
+        raise ValueError(f"unknown mode {mode!r}; expected 'compensated', 'same', or 'full'")
+
+    hf = np.fft.fft(h, nfft, axis=-1)  # (nfft,) or (R, nfft)
+    complex_out = np.iscomplexobj(x) or np.iscomplexobj(h)
+    out = np.empty((rows, count), dtype=np.complex128 if complex_out else np.float64)
+
+    # Overlap-save: the input gets k-1 leading zeros and enough trailing
+    # zeros that every block of `nfft` samples, advancing by `step`, is a
+    # plain view; block b's circular convolution yields the full
+    # convolution's samples [b * step, (b + 1) * step).  Only the blocks
+    # the mode keeps are computed, through stacked FFTs in bounded
+    # (rows, blocks) tiles, each block transformed exactly as it would be
+    # alone.  One tile-sized zero-padded buffer is refilled per row tile.
+    num_blocks = -(-n_out // step)
+    first_block, end_block = first // step, (first + count - 1) // step + 1
+    tile_blocks = min(end_block - first_block, max(1, FFT_CHUNK // nfft))
+    tile_rows = min(rows, max(1, FFT_CHUNK // (nfft * tile_blocks)))
+    padded = np.zeros((tile_rows, (num_blocks - 1) * step + nfft), dtype=x.dtype)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, nfft, axis=-1)[:, ::step]
+    for r in range(0, rows, tile_rows):
+        tile = x[r : r + tile_rows]
+        t = tile.shape[0]
+        padded[:t, k - 1 : k - 1 + n] = tile  # the zero margins are never written
+        row_hf = hf if hf.ndim == 1 else hf[r : r + t, None, :]
+        for b in range(first_block, end_block, tile_blocks):
+            spec = np.fft.fft(windows[:t, b : min(b + tile_blocks, end_block)], axis=-1)
+            spec *= row_hf
+            y = np.fft.ifft(spec, axis=-1)[..., k - 1 :].reshape(t, -1)
+            lo = max(b * step, first)
+            hi = min(b * step + y.shape[1], first + count)
+            kept = y[:, lo - b * step : hi - b * step]
+            out[r : r + t, lo - first : hi - first] = kept if complex_out else kept.real
+    return out
 
 
 def apply_fir(signal: np.ndarray, taps: np.ndarray, mode: str = "compensated", block_size: int | None = None) -> np.ndarray:
@@ -364,44 +390,8 @@ def apply_fir(signal: np.ndarray, taps: np.ndarray, mode: str = "compensated", b
         raise ValueError("taps must be a non-empty 1-D array")
     if x.size == 0:
         return x.copy()
-
-    k = h.size
-    if block_size is None:
-        block_size = _default_block_size(x.size, k)
-    nfft = max(_next_fast_len(k), block_size)
-    step = nfft - (k - 1)
-    if step <= 0:
-        nfft = _next_fast_len(2 * k)
-        step = nfft - (k - 1)
-
-    hf = np.fft.fft(h, nfft)
-    n_out = x.size + k - 1
-    complex_out = np.iscomplexobj(x) or np.iscomplexobj(h)
-    out = np.empty(n_out, dtype=np.complex128 if complex_out else np.float64)
-
-    # Overlap-save: prepend k-1 zeros, process blocks of `nfft` advancing by
-    # `step`, keep the last `step` samples of each block's circular result.
-    padded = np.concatenate([np.zeros(k - 1, dtype=x.dtype), x, np.zeros(step, dtype=x.dtype)])
-    pos = 0
-    while pos < n_out:
-        block = padded[pos : pos + nfft]
-        if block.size < nfft:
-            block = np.concatenate([block, np.zeros(nfft - block.size, dtype=x.dtype)])
-        y = np.fft.ifft(np.fft.fft(block) * hf)
-        take = min(step, n_out - pos)
-        chunk = y[k - 1 : k - 1 + take]
-        out[pos : pos + take] = chunk if complex_out else chunk.real
-        pos += take
-
-    if mode == "full":
-        return out
-    if mode == "same":
-        start = (k - 1) // 2
-        return out[start : start + x.size]
-    if mode == "compensated":
-        delay = (k - 1) // 2
-        return out[delay : delay + x.size]
-    raise ValueError(f"unknown mode {mode!r}; expected 'compensated', 'same', or 'full'")
+    out: np.ndarray = _apply_fir_batch_reference(x[None, :], h, mode, block_size)[0]
+    return out
 
 
 def frequency_response(

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backend import dispatch
+from repro.dsp.fir import FFT_CHUNK
 from repro.dsp.windows import WindowSpec, get_window
 from repro.utils.validation import as_complex_array, ensure_positive
 
@@ -73,35 +74,10 @@ def _segment_psd_average(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Average windowed periodograms over (possibly overlapping) segments."""
     x = as_complex_array(x)
-    ensure_positive(sample_rate, "sample_rate")
-    nperseg = int(nperseg)
-    if nperseg < 2:
-        raise ValueError(f"nperseg must be >= 2, got {nperseg}")
-    if x.size < nperseg:
-        # Degrade gracefully to a single shorter segment (and shrink the
-        # overlap with it so the validation below still holds).
-        noverlap = int(noverlap * x.size / nperseg)
-        nperseg = x.size
-    noverlap = int(noverlap)
-    if not 0 <= noverlap < nperseg:
-        raise ValueError(f"noverlap must be in [0, nperseg), got {noverlap}")
-    step = nperseg - noverlap
-    nfft = int(nfft) if nfft is not None else nperseg
-
-    w = get_window(window, nperseg, periodic=True)
-    scale = sample_rate * np.sum(w**2)
-    acc = np.zeros(nfft, dtype=float)
-    count = 0
-    for start in range(0, x.size - nperseg + 1, step):
-        seg = x[start : start + nperseg]
-        spec = np.fft.fft(seg * w, nfft)
-        acc += np.abs(spec) ** 2
-        count += 1
-    if count == 0:
-        raise ValueError("signal too short for the requested segmentation")
-    psd = acc / (count * scale)
-    freqs = np.fft.fftfreq(nfft, d=1.0 / sample_rate)
-    return np.fft.fftshift(freqs), np.fft.fftshift(psd)
+    freqs, psd = _welch_psd_batch_reference(
+        x[None, :], sample_rate, nperseg, noverlap, window, nfft
+    )
+    return freqs, psd[0]
 
 
 def welch_psd_batch(
@@ -117,10 +93,10 @@ def welch_psd_batch(
     ``x`` has shape ``(R, N)``; returns ``(freqs, psd)`` with ``psd`` of
     shape ``(R, nfft)``.  Row ``i`` is bit-identical to
     ``welch_psd(x[i], ...)``: all R rows share the segmentation geometry
-    (same ``N``), every Welch segment across the batch goes through one
-    stacked FFT, and the segment accumulation runs in the serial order —
-    a sequential loop over segment index, vectorized over rows — so the
-    floating-point sum is performed in exactly the serial sequence.
+    (same ``N``), the Welch segments across the batch go through stacked
+    FFTs, and the segment accumulation runs in segment order — a
+    sequential loop over segment index, vectorized over rows — so the
+    floating-point sum is performed in exactly the single-row sequence.
     """
     x = np.asarray(x)
     if x.ndim != 2:
@@ -151,6 +127,8 @@ def _welch_psd_batch_reference(
         raise ValueError(f"nperseg must be >= 2, got {nperseg}")
     n = x.shape[1]
     if n < nperseg:
+        # Degrade gracefully to a single shorter segment (and shrink the
+        # overlap with it so the validation below still holds).
         noverlap = int(noverlap * n / nperseg)
         nperseg = n
     noverlap = int(noverlap)
@@ -161,23 +139,25 @@ def _welch_psd_batch_reference(
 
     w = get_window(window, nperseg, periodic=True)
     scale = sample_rate * np.sum(w**2)
-    starts = np.arange(0, n - nperseg + 1, step)
-    if starts.size == 0:
+    count = len(range(0, n - nperseg + 1, step))
+    if count == 0:
         raise ValueError("signal too short for the requested segmentation")
-    # (R, S, nperseg) stack of windowed segments -> one batched FFT.  The
-    # segment windows come from a zero-copy strided view; windowing and
-    # |.|^2 are elementwise, so both are bit-identical to the per-segment
-    # serial arithmetic.
-    windows = np.lib.stride_tricks.sliding_window_view(x, nperseg, axis=1)
-    segs = windows[:, ::step][:, : starts.size] * w
-    specs = np.fft.fft(segs, nfft, axis=-1)
-    power = np.abs(specs) ** 2
-    acc = np.zeros((x.shape[0], nfft), dtype=float)
-    for s in range(starts.size):
-        # Sequential segment order: the serial Welch sum must be replayed
-        # term by term for the accumulated rounding to match exactly.
-        acc += power[:, s, :]
-    psd = acc / (starts.size * scale)
+    # The (R, S, nperseg) segment stack is a zero-copy strided view; it
+    # is windowed and transformed in bounded chunks of segments, each
+    # segment one row of a stacked FFT.  Windowing and |.|^2 are
+    # elementwise, so a segment's periodogram does not depend on the
+    # chunk it lands in.
+    windows = np.lib.stride_tricks.sliding_window_view(x, nperseg, axis=1)[:, ::step]
+    rows = x.shape[0]
+    acc = np.zeros((rows, nfft), dtype=float)
+    per_chunk = max(1, FFT_CHUNK // (max(rows, 1) * nfft))
+    for first in range(0, count, per_chunk):
+        power = np.abs(np.fft.fft(windows[:, first : first + per_chunk] * w, nfft, axis=-1)) ** 2
+        for s in range(power.shape[1]):
+            # Sequential segment order: the Welch sum is accumulated term
+            # by term, so its rounding does not depend on the chunking.
+            acc += power[:, s, :]
+    psd = acc / (count * scale)
     freqs = np.fft.fftfreq(nfft, d=1.0 / sample_rate)
     return np.fft.fftshift(freqs), np.fft.fftshift(psd, axes=-1)
 

@@ -14,6 +14,10 @@ Three consumers keep the manifest honest:
 Keys and values are ``"module:Qual.name"`` strings (class-qualified for
 methods), so the manifest stays importable-as-data with zero import cost.
 
+Some pairs hold by construction: ``BHSSReceiver.receive`` is the
+one-capture case of ``BHSSReceiver.receive_batch``.  Their entries stay,
+so the twin keeps its place on the wall if it ever gains its own body.
+
 ``BACKEND_KERNELS`` extends the wall through the pluggable compute
 backends (:mod:`repro.backend`): it maps every :class:`DSPBackend` kernel
 method to the public dispatching wrapper it serves.  The ``batch-manifest``

@@ -92,11 +92,15 @@ def evaluate_session_point(payload: dict, point: tuple) -> dict:
 
     spec = SessionSpec.from_dict(payload["session"])
     token = payload.get("cache")
-    cache = ResultCache(token) if isinstance(token, str) else token
+    if token is None:
+        store = ResultCache.from_env()
+    elif isinstance(token, str):
+        store = ResultCache(token)
+    else:
+        store = token if isinstance(token, ResultCache) else None
     snr_db, sjr_db = point
     faults = FaultPlan.from_env()
     key: dict[str, Any] | None = None
-    store = cache if isinstance(cache, ResultCache) else None
     if store is not None:
         key = {
             "kind": "session-point",

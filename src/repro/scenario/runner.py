@@ -61,8 +61,7 @@ def evaluate_scenario_point(payload: dict, point: tuple) -> dict:
     link, jammer = scenario.build()
     snr_db, sjr_db = point
     # The vectorized path is bit-identical to the serial one per seed, so
-    # scenarios always go through it; REPRO_BATCH=0 selects serial, and
-    # run_packets_batched itself falls back for phase-tracking links.
+    # scenarios always go through it; REPRO_BATCH=0 selects serial.
     # The scenario's pinned backend (if any) rides in the spec payload, so
     # pool workers apply the same selection as a serial run would.
     with use_backend(scenario.backend):

@@ -404,6 +404,23 @@ class TestRunSession:
         # a desynced run resyncs: the cached clean row must NOT be reused
         assert faulted.column("desync_count") != clean.column("desync_count")
 
+    def test_repro_cache_env_fills_and_serves(self, tmp_path, monkeypatch):
+        from repro.protocol import session as session_module
+        from repro.runtime import ResultCache
+
+        root = str(tmp_path / "cache")
+        monkeypatch.setenv("REPRO_CACHE", root)
+        spec = small_spec(sjr_db=(-4.0, -8.0))
+        first = run_session(spec, executor=ParallelExecutor(0))
+        assert ResultCache(root).verify().valid == 2  # one entry per point
+
+        def miss(*args, **kwargs):
+            raise AssertionError("a cached point was recomputed")
+
+        monkeypatch.setattr(session_module, "simulate_session", miss)
+        again = run_session(spec, executor=ParallelExecutor(0))
+        assert again.as_table_rows() == first.as_table_rows()
+
     def test_checkpoint_resume_skips_completed_points(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CHECKPOINT", str(tmp_path / "ckpt"))
         spec = small_spec(sjr_db=(-4.0, -8.0))
