@@ -182,6 +182,8 @@ class Medium:
             raise ValueError("signal has zero power")
         gen = make_rng(rng)
 
+        # Sums accumulate in place into this private copy; ``aligned`` is added at full
+        # length, as an overlap-only add would keep -0.0 where ``x + 0.0`` gives +0.0.
         received = s.copy()
         p_jam_realized = 0.0
         p_interference = 0.0
@@ -203,14 +205,14 @@ class Medium:
                 start = min(source.delay_samples, s.size)
                 n_fit = min(j.size, s.size - start)
                 aligned[start : start + n_fit] = j[:n_fit]
-                received = received + aligned
+                received += aligned
                 if source.kind == "jammer":
                     p_jam_realized += p_target
                 else:
                     p_interference += p_target
         p_noise = p_sig / db_to_linear(snr_db)
         if p_noise > 0:
-            received = received + complex_awgn(s.size, p_noise, gen)
+            received += complex_awgn(s.size, p_noise, gen)
         return ReceivedBlock(
             samples=received,
             signal_power=p_sig,

@@ -15,8 +15,8 @@ batching, caching, and fan-out policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -24,13 +24,43 @@ from repro.channel.impairments import Impairments
 from repro.channel.link_medium import Medium
 from repro.core.config import BHSSConfig
 from repro.core.paths import PacketOutcome, RxPath, TxPath, draw_jammer_wave
-from repro.core.receiver import BHSSReceiver, ReceiveResult
+from repro.core.receiver import BHSSReceiver
 from repro.core.transmitter import BHSSTransmitter, TransmittedPacket
 from repro.jamming.base import Jammer
 from repro.runtime import ParallelExecutor, ResultCache, canonical, resolve_batch
 from repro.utils.rng import child_rng, make_rng
 
 __all__ = ["LinkSimulator", "PacketOutcome", "LinkStats"]
+
+#: ``(accepted, bit_errors, total_bits, filter usage)`` of a packet chunk.
+_Totals = tuple[int, int, int, dict[str, int]]
+
+#: The waveform a packet keeps once its capture is drawn.
+_DROPPED = np.zeros(0, dtype=complex)
+
+
+def _order_free(jammer: Jammer | None) -> bool:
+    """Whether packets may run out of order (no stateful jammer)."""
+    return jammer is None or not jammer.is_stateful
+
+
+def _outcome_totals(outcome: PacketOutcome) -> _Totals:
+    """One packet's outcome as chunk totals."""
+    usage = outcome.receive.filter_usage()
+    return int(outcome.accepted), outcome.bit_errors, outcome.total_bits, usage
+
+
+def _fold(parts: Iterable[_Totals]) -> _Totals:
+    """Sum chunk totals; filter-usage counts add per kind."""
+    accepted = bit_errors = total_bits = 0
+    usage: dict[str, int] = {}
+    for part_accepted, part_bit_errors, part_total_bits, part_usage in parts:
+        accepted += part_accepted
+        bit_errors += part_bit_errors
+        total_bits += part_total_bits
+        for kind, count in part_usage.items():
+            usage[kind] = usage.get(kind, 0) + count
+    return accepted, bit_errors, total_bits, usage
 
 
 def _spec_view(obj: Any) -> Any:
@@ -207,22 +237,30 @@ class LinkSimulator:
         jammer_delay_samples: int = 0,
     ) -> PacketOutcome:
         """Simulate one packet and compare what was decoded to the truth."""
-        gen = make_rng(rng)
-        packet, tx_wave = self.tx_path.emit(packet_index, payload)
+        packet = self.tx_path.synthesize(packet_index, payload)
+        samples = self._capture(packet, make_rng(rng), snr_db, sjr_db, jammer, jammer_delay_samples)
+        return self.rx_path.receive_packet(packet, samples, packet_index)
+
+    def _capture(
+        self,
+        packet: TransmittedPacket,
+        gen: np.random.Generator,
+        snr_db: float,
+        sjr_db: float,
+        jammer: Jammer | None,
+        jammer_delay_samples: int,
+    ) -> np.ndarray:
+        """Draw one packet's received samples: the jammer first, then the noise."""
+        tx_wave = self.tx_path.propagate(packet.waveform)
         jam_wave = draw_jammer_wave(jammer, packet, sjr_db, gen)
-        block = self.medium.combine(
+        return self.medium.combine(
             tx_wave,
             snr_db=snr_db,
             jammer=jam_wave,
             sjr_db=sjr_db,
             jammer_delay_samples=jammer_delay_samples,
             rng=gen,
-        )
-        return self.rx_path.receive_packet(packet, block.samples, packet_index)
-
-    def _score_packet(self, packet: TransmittedPacket, result: ReceiveResult) -> PacketOutcome:
-        """Compare one receive result against the transmitted truth."""
-        return self.rx_path.score(packet, result)
+        ).samples
 
     def _symbol_region_bit_errors(self, sent_symbols: np.ndarray, got_symbols: np.ndarray) -> int:
         """Bit errors across the payload symbol region (nibble XOR popcount)."""
@@ -259,61 +297,20 @@ class LinkSimulator:
         ``cache=False`` forces caching off regardless of the environment
         (used by timing benchmarks).
         """
-        if num_packets < 1:
-            raise ValueError(f"num_packets must be >= 1, got {num_packets}")
         ex = executor if executor is not None else ParallelExecutor.from_env()
-        if cache is None:
-            store = ResultCache.from_env()
-        elif cache is False:
-            store = None
-        else:
-            store = cache
-        order_free = jammer is None or not jammer.is_stateful
-
-        key = None
-        if store is not None and order_free:
-            key = self._stats_cache_key(
-                num_packets, snr_db, sjr_db, jammer, seed, payload, jammer_delay_samples
-            )
-            hit = store.get(key)
-            if hit is not None:
-                return LinkStats(**hit)
-
-        chunk_kwargs = dict(
-            snr_db=snr_db,
-            sjr_db=sjr_db,
-            jammer=jammer,
-            seed=seed,
-            payload=payload,
+        point = dict(
+            snr_db=snr_db, sjr_db=sjr_db, jammer=jammer, seed=seed, payload=payload,
             jammer_delay_samples=jammer_delay_samples,
         )
-        if ex.parallel and order_free and num_packets >= 2:
-            bounds = self._chunk_bounds(num_packets, ex.workers)
-            partials = ex.map(lambda se: self._run_packet_chunk(*se, **chunk_kwargs), bounds)
-        else:
-            partials = [self._run_packet_chunk(0, num_packets, **chunk_kwargs)]
 
-        accepted = 0
-        bit_errors = 0
-        total_bits = 0
-        usage: dict[str, int] = {}
-        for part_accepted, part_bit_errors, part_total_bits, part_usage in partials:
-            accepted += part_accepted
-            bit_errors += part_bit_errors
-            total_bits += part_total_bits
-            for filter_kind, count in part_usage.items():
-                usage[filter_kind] = usage.get(filter_kind, 0) + count
-        stats = LinkStats(
-            num_packets=num_packets,
-            num_accepted=accepted,
-            total_bits=total_bits,
-            bit_errors=bit_errors,
-            data_rate_bps=self.data_rate_bps(),
-            filter_usage=usage,
-        )
-        if key is not None:
-            store.put(key, self._stats_payload(stats))
-        return stats
+        def parts() -> Iterator[_Totals]:
+            if ex.parallel and _order_free(jammer) and num_packets >= 2:
+                bounds = self._chunk_bounds(num_packets, ex.workers)
+                yield from ex.map(lambda se: self._run_packet_chunk(*se, **point), bounds)
+            else:
+                yield self._run_packet_chunk(0, num_packets, **point)
+
+        return self._stats(num_packets, point, cache, parts())
 
     def _stats_cache_key(
         self,
@@ -345,16 +342,39 @@ class LinkSimulator:
             "jammer_delay_samples": int(jammer_delay_samples),
         }
 
-    @staticmethod
-    def _stats_payload(stats: LinkStats) -> dict:
-        return {
-            "num_packets": stats.num_packets,
-            "num_accepted": stats.num_accepted,
-            "total_bits": stats.total_bits,
-            "bit_errors": stats.bit_errors,
-            "data_rate_bps": stats.data_rate_bps,
-            "filter_usage": stats.filter_usage,
-        }
+    def _stats(
+        self,
+        num_packets: int,
+        point: dict[str, Any],
+        cache: "ResultCache | bool | None",
+        parts: Iterable[_Totals],
+    ) -> LinkStats:
+        """Sum the lazy per-chunk ``parts`` into :class:`LinkStats`, through the cache.
+
+        ``cache=None`` resolves ``REPRO_CACHE``; ``False`` turns caching off.
+        Memoryless-jammer batches are looked up first: a hit never consumes ``parts``.
+        """
+        if num_packets < 1:
+            raise ValueError(f"num_packets must be >= 1, got {num_packets}")
+        store = ResultCache.from_env() if cache is None else cache
+        key = None
+        if store is not None and store is not False and _order_free(point["jammer"]):
+            key = self._stats_cache_key(num_packets, **point)
+            hit = store.get(key)
+            if hit is not None:
+                return LinkStats(**hit)
+        accepted, bit_errors, total_bits, usage = _fold(parts)
+        stats = LinkStats(
+            num_packets=num_packets,
+            num_accepted=accepted,
+            total_bits=total_bits,
+            bit_errors=bit_errors,
+            data_rate_bps=self.data_rate_bps(),
+            filter_usage=usage,
+        )
+        if key is not None:
+            store.put(key, asdict(stats))
+        return stats
 
     def run_packets_batched(
         self,
@@ -385,86 +405,62 @@ class LinkSimulator:
           batch primitives whose rows are bit-identical to their serial
           counterparts.
 
+        One batch is alive at a time (see :meth:`_run_batch`), so the
+        working set is about one batch of captures plus one stacked DSP
+        chunk: ``batch_size`` trades memory for stacking.
+
         Batches share the serial path's result cache entries (same key),
         so a warm cache serves either path.  Front-end impairments apply
         per packet and switch the stacked receiver to phase tracking;
         ``batch_size <= 1`` falls back to :meth:`run_packets`.
         """
-        if num_packets < 1:
-            raise ValueError(f"num_packets must be >= 1, got {num_packets}")
         batch = resolve_batch() if batch_size is None else max(0, int(batch_size))
-        common = dict(
-            snr_db=snr_db,
-            sjr_db=sjr_db,
-            jammer=jammer,
-            seed=seed,
-            payload=payload,
+        point = dict(
+            snr_db=snr_db, sjr_db=sjr_db, jammer=jammer, seed=seed, payload=payload,
             jammer_delay_samples=jammer_delay_samples,
         )
         if batch <= 1:
-            return self.run_packets(num_packets, cache=cache, **common)
-
-        if cache is None:
-            store = ResultCache.from_env()
-        elif cache is False:
-            store = None
-        else:
-            store = cache
-        order_free = jammer is None or not jammer.is_stateful
-        key = None
-        if store is not None and order_free:
-            key = self._stats_cache_key(
-                num_packets, snr_db, sjr_db, jammer, seed, payload, jammer_delay_samples
-            )
-            hit = store.get(key)
-            if hit is not None:
-                return LinkStats(**hit)
-
-        accepted = 0
-        bit_errors = 0
-        total_bits = 0
-        usage: dict[str, int] = {}
-        for start in range(0, num_packets, batch):
-            indices = list(range(start, min(start + batch, num_packets)))
-            packets = self.transmitter.transmit_batch(indices, payload=payload)
-            received: list[np.ndarray] = []
-            for k, packet in zip(indices, packets):
-                gen = child_rng(seed, "packet", str(k))
-                tx_wave = self.tx_path.propagate(packet.waveform)
-                jam_wave = draw_jammer_wave(jammer, packet, sjr_db, gen)
-                block = self.medium.combine(
-                    tx_wave,
-                    snr_db=snr_db,
-                    jammer=jam_wave,
-                    sjr_db=sjr_db,
-                    jammer_delay_samples=jammer_delay_samples,
-                    rng=gen,
-                )
-                received.append(self.rx_path.front_end(block.samples))
-            results = self.receiver.receive_batch(
-                received,
-                payload_len=len(packets[0].payload),
-                packet_indices=indices,
-                phase_track=self.rx_path.needs_phase_tracking,
-            )
-            for packet, result in zip(packets, results):
-                outcome = self.rx_path.score(packet, result)
-                accepted += int(outcome.accepted)
-                bit_errors += outcome.bit_errors
-                total_bits += outcome.total_bits
-                for kind, count in result.filter_usage().items():
-                    usage[kind] = usage.get(kind, 0) + count
-        stats = LinkStats(
-            num_packets=num_packets,
-            num_accepted=accepted,
-            total_bits=total_bits,
-            bit_errors=bit_errors,
-            data_rate_bps=self.data_rate_bps(),
-            filter_usage=usage,
+            return self.run_packets(num_packets, cache=cache, **point)
+        parts = (
+            self._run_batch(range(start, min(start + batch, num_packets)), **point)
+            for start in range(0, num_packets, batch)
         )
-        if key is not None:
-            store.put(key, self._stats_payload(stats))
-        return stats
+        return self._stats(num_packets, point, cache, parts)
+
+    def _run_batch(
+        self,
+        indices: range,
+        snr_db: float,
+        sjr_db: float,
+        jammer: Jammer | None,
+        seed: int,
+        payload: bytes | None,
+        jammer_delay_samples: int,
+    ) -> _Totals:
+        """Aggregate packets ``indices`` through the stacked link.
+
+        Everything a batch allocates (its packets, captures and receive
+        results) dies when this returns, before the next batch is
+        synthesized.  A packet's waveform is dropped as soon as its
+        capture is drawn: scoring reads only the payload and the symbols.
+        """
+        packets = self.transmitter.transmit_batch(indices, payload=payload)
+        received: list[np.ndarray] = []
+        for p, k in enumerate(indices):
+            gen = child_rng(seed, "packet", str(k))
+            samples = self._capture(packets[p], gen, snr_db, sjr_db, jammer, jammer_delay_samples)
+            received.append(self.rx_path.front_end(samples))
+            packets[p] = replace(packets[p], waveform=_DROPPED)
+        results = self.receiver.receive_batch(
+            received,
+            payload_len=len(packets[0].payload),
+            packet_indices=indices,
+            phase_track=self.rx_path.needs_phase_tracking,
+        )
+        return _fold(
+            _outcome_totals(self.rx_path.score(packet, result))
+            for packet, result in zip(packets, results)
+        )
 
     @staticmethod
     def _chunk_bounds(num_packets: int, workers: int) -> list[tuple[int, int]]:
@@ -488,28 +484,22 @@ class LinkSimulator:
         seed: int,
         payload: bytes | None,
         jammer_delay_samples: int,
-    ) -> tuple[int, int, int, dict[str, int]]:
+    ) -> _Totals:
         """Aggregate packets ``start..stop-1``; the serial inner loop."""
-        accepted = 0
-        bit_errors = 0
-        total_bits = 0
-        usage: dict[str, int] = {}
-        for k in range(start, stop):
-            outcome = self.run_packet(
-                snr_db=snr_db,
-                sjr_db=sjr_db,
-                jammer=jammer,
-                packet_index=k,
-                rng=child_rng(seed, "packet", str(k)),
-                payload=payload,
-                jammer_delay_samples=jammer_delay_samples,
+        return _fold(
+            _outcome_totals(
+                self.run_packet(
+                    snr_db=snr_db,
+                    sjr_db=sjr_db,
+                    jammer=jammer,
+                    packet_index=k,
+                    rng=child_rng(seed, "packet", str(k)),
+                    payload=payload,
+                    jammer_delay_samples=jammer_delay_samples,
+                )
             )
-            accepted += int(outcome.accepted)
-            bit_errors += outcome.bit_errors
-            total_bits += outcome.total_bits
-            for kind, count in outcome.receive.filter_usage().items():
-                usage[kind] = usage.get(kind, 0) + count
-        return accepted, bit_errors, total_bits, usage
+            for k in range(start, stop)
+        )
 
     def data_rate_bps(self) -> float:
         """Average payload data rate of the configured link in bits/second.

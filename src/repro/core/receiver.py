@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.config import BHSSConfig
 from repro.core.control import ControlLogic, FilterDecision, FilterKind
-from repro.core.transmitter import ROW_CHUNK
+from repro.core.transmitter import row_chunks
 # ``apply_fir`` is re-exported: ``bench/tracing.py`` attributes the serial
 # FIR layer through this module's name for it.
 from repro.dsp.fir import apply_fir, apply_fir_batch  # noqa: F401
@@ -190,9 +190,9 @@ class BHSSReceiver:
                 pos += n_samples
 
         chunks = [
-            (key, all_members[i : i + ROW_CHUNK])
+            (key, members)
             for key, all_members in groups.items()
-            for i in range(0, len(all_members), ROW_CHUNK)
+            for members in row_chunks(all_members, key[0] * (cps // 2) * key[1])
         ]
         softs = [
             self._soft_chips(xs, key, members, seg_decision) for key, members in chunks

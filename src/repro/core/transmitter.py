@@ -12,7 +12,7 @@ reaction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 import numpy as np
 
@@ -21,12 +21,20 @@ from repro.hopping.schedule import HopSegment
 
 __all__ = ["BHSSTransmitter", "TransmittedPacket"]
 
-#: Rows per stacked DSP call.  Grouped segments are processed in slices of
-#: this many rows: enough to amortize per-call overhead, small enough that
-#: the FFT working set stays cache-resident (huge stacks go memory-bound
-#: and run *slower* than serial).  Row-wise results do not depend on the
-#: slicing, so any value is bit-identical.
-ROW_CHUNK = 64
+T = TypeVar("T")
+
+#: Samples per stacked DSP call.  Grouped segments are processed in chunks
+#: of at most this many samples (but at least one row), so a chunk's arrays
+#: and FFT temporaries are bounded in bytes: a hop stretched 64x stacks 64x
+#: fewer rows than a wide one.  Row-wise results do not depend on the
+#: chunking, so any budget is bit-identical.
+CHUNK_SAMPLES = 1 << 18
+
+
+def row_chunks(members: list[T], segment_samples: int) -> list[list[T]]:
+    """``members``, rows of ``segment_samples`` samples each, in stacked chunks."""
+    rows = max(1, CHUNK_SAMPLES // segment_samples)
+    return [members[i : i + rows] for i in range(0, len(members), rows)]
 
 
 @dataclass(frozen=True)
@@ -183,9 +191,9 @@ class BHSSTransmitter:
                 key = (seg.num_symbols, seg.sps)
                 groups.setdefault(key, []).append((p, s, seg.start_symbol))
         chunked = (
-            (key, all_members[i : i + ROW_CHUNK])
+            (key, members)
             for key, all_members in groups.items()
-            for i in range(0, len(all_members), ROW_CHUNK)
+            for members in row_chunks(all_members, key[0] * (cps // 2) * key[1])
         )
         for (num_symbols, sps), members in chunked:
             sym_stack = np.stack(

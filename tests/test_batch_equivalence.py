@@ -12,7 +12,7 @@ regression cannot hide behind a favourable configuration.
 import numpy as np
 import pytest
 
-from repro.core import BHSSConfig, LinkSimulator
+from repro.core import BHSSConfig, LinkSimulator, transmitter
 from repro.jamming.registry import jammer_from_spec, jammer_names
 from repro.scenario.spec import channel_from_spec
 
@@ -218,6 +218,49 @@ class TestBatchSizeInvariance:
             small_config(), JAMMER_SPECS["tone"], 0, batch_size=batch_size, num_packets=7
         )
         assert serial == batched
+
+    @staticmethod
+    def _stacked_run(link):
+        """Seven packets through one batch; stacked rows per spread/despread call."""
+        rows = {"spread": [], "despread": []}
+        for side, modem, name in (
+            ("spread", link.transmitter.modem, "spread_batch"),
+            ("despread", link.receiver.modem, "despread_batch"),
+        ):
+            raw = getattr(modem, name)
+
+            def counted(stack, *args, _raw=raw, _rows=rows[side], **kwargs):
+                _rows.append(len(stack))
+                return _raw(stack, *args, **kwargs)
+
+            setattr(modem, name, counted)
+        waves = [p.waveform for p in link.transmitter.transmit_batch(range(7))]
+        stats = link.run_packets_batched(
+            7,
+            snr_db=8.0,
+            sjr_db=-5.0,
+            jammer=jammer_from_spec(JAMMER_SPECS["noise"]),
+            seed=0,
+            batch_size=7,
+            cache=False,
+        )
+        return waves, stats, rows
+
+    @pytest.mark.parametrize("budget", [1, 1 << 40])
+    def test_sample_budget_does_not_change_outputs(self, monkeypatch, budget):
+        # One row per chunk and one chunk per segment group must both
+        # reproduce the default chunking bit for bit, in transmit_batch's
+        # waveforms and in the batched link's statistics.
+        default_waves, default_stats, _ = self._stacked_run(LinkSimulator(small_config()))
+        monkeypatch.setattr(transmitter, "CHUNK_SAMPLES", budget)
+        waves, stats, rows = self._stacked_run(LinkSimulator(small_config()))
+        assert [w.tobytes() for w in waves] == [w.tobytes() for w in default_waves]
+        assert stats == default_stats
+        for side_rows in rows.values():
+            if budget == 1:
+                assert max(side_rows) == 1
+            else:
+                assert max(side_rows) > 1  # whole segment groups were stacked
 
 
 class TestEquivalenceManifest:
