@@ -25,7 +25,7 @@ from repro.channel.link_medium import Medium
 from repro.core.config import BHSSConfig
 from repro.core.paths import PacketOutcome, RxPath, TxPath, draw_jammer_wave
 from repro.core.receiver import BHSSReceiver
-from repro.core.transmitter import BHSSTransmitter, TransmittedPacket
+from repro.core.transmitter import BHSSTransmitter, TransmittedPacket, budget_groups
 from repro.jamming.base import Jammer
 from repro.runtime import ParallelExecutor, ResultCache, canonical, resolve_batch
 from repro.utils.rng import child_rng, make_rng
@@ -390,8 +390,10 @@ class LinkSimulator:
     ) -> LinkStats:
         """Vectorized :meth:`run_packets`: stack packets, same statistics.
 
-        Simulates ``batch_size`` packets per stacked call (default: the
-        ``REPRO_BATCH``-configured size, 64 when unset) and returns
+        Simulates one contiguous group of packets per stacked call: the
+        group's captures fit one sample budget (see :meth:`_packet_groups`)
+        and it holds at most ``batch_size`` packets (default: the
+        ``REPRO_BATCH``-configured cap, 64 when unset).  It returns
         **bit-identical** :class:`LinkStats` to the serial path for every
         ``(seed, operating point)``.  The contract that makes this exact:
 
@@ -405,9 +407,9 @@ class LinkSimulator:
           batch primitives whose rows are bit-identical to their serial
           counterparts.
 
-        One batch is alive at a time (see :meth:`_run_batch`), so the
-        working set is about one batch of captures plus one stacked DSP
-        chunk: ``batch_size`` trades memory for stacking.
+        One group is alive at a time (see :meth:`_run_batch`), so the
+        working set is about one sample budget of captures plus one
+        stacked DSP chunk, whatever ``batch_size`` or the packet length.
 
         Batches share the serial path's result cache entries (same key),
         so a warm cache serves either path.  Front-end impairments apply
@@ -421,11 +423,23 @@ class LinkSimulator:
         )
         if batch <= 1:
             return self.run_packets(num_packets, cache=cache, **point)
-        parts = (
-            self._run_batch(range(start, min(start + batch, num_packets)), **point)
-            for start in range(0, num_packets, batch)
-        )
+        groups = self._packet_groups(num_packets, payload, batch)
+        parts = (self._run_batch(indices, **point) for indices in groups)
         return self._stats(num_packets, point, cache, parts)
+
+    def _packet_groups(
+        self, num_packets: int, payload: bytes | None, batch: int
+    ) -> Iterator[range]:
+        """Contiguous packet ranges, in order, one per stacked call.
+
+        Capture lengths come from the hop plan, so nothing is synthesized
+        here.  Groups are planned lazily, so a cache hit draws no hop plan;
+        see :func:`~repro.core.transmitter.budget_groups` for the sizing.
+        """
+        tx = self.transmitter
+        num_air = self.config.air_symbols(None if payload is None else len(payload))
+        lengths = (sum(tx.hop_plan(num_air, k)[1]) for k in range(num_packets))
+        return budget_groups(lengths, batch)
 
     def _run_batch(
         self,
@@ -437,10 +451,10 @@ class LinkSimulator:
         payload: bytes | None,
         jammer_delay_samples: int,
     ) -> _Totals:
-        """Aggregate packets ``indices`` through the stacked link.
+        """Aggregate packets ``indices`` (one planned group) through the stacked link.
 
-        Everything a batch allocates (its packets, captures and receive
-        results) dies when this returns, before the next batch is
+        Everything a group allocates (its packets, captures and receive
+        results) dies when this returns, before the next group is
         synthesized.  A packet's waveform is dropped as soon as its
         capture is drawn: scoring reads only the payload and the symbols.
         """

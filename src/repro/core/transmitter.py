@@ -12,7 +12,7 @@ reaction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -23,11 +23,12 @@ __all__ = ["BHSSTransmitter", "TransmittedPacket"]
 
 T = TypeVar("T")
 
-#: Samples per stacked DSP call.  Grouped segments are processed in chunks
-#: of at most this many samples (but at least one row), so a chunk's arrays
-#: and FFT temporaries are bounded in bytes: a hop stretched 64x stacks 64x
-#: fewer rows than a wide one.  Row-wise results do not depend on the
-#: chunking, so any budget is bit-identical.
+#: Samples per stacked call.  The batched link groups packets whose
+#: captures fit in this many samples, and grouped segments are processed in
+#: chunks of at most this many samples (each at least one row), so captures,
+#: a chunk's arrays and FFT temporaries are bounded in bytes: a hop
+#: stretched 64x stacks 64x fewer rows than a wide one.  Row-wise results
+#: do not depend on the chunking, so any budget is bit-identical.
 CHUNK_SAMPLES = 1 << 18
 
 
@@ -35,6 +36,24 @@ def row_chunks(members: list[T], segment_samples: int) -> list[list[T]]:
     """``members``, rows of ``segment_samples`` samples each, in stacked chunks."""
     rows = max(1, CHUNK_SAMPLES // segment_samples)
     return [members[i : i + rows] for i in range(0, len(members), rows)]
+
+
+def budget_groups(lengths: Iterable[int], max_rows: int) -> Iterator[range]:
+    """Contiguous index ranges over ``lengths``, in order, one per stacked call.
+
+    A range takes rows while their lengths sum to at most
+    :data:`CHUNK_SAMPLES`, up to ``max_rows`` rows; a row longer than the
+    budget forms a range of its own.
+    """
+    start = stop = filled = 0
+    for length in lengths:
+        if stop > start and (stop - start == max_rows or filled + length > CHUNK_SAMPLES):
+            yield range(start, stop)
+            start, filled = stop, 0
+        filled += length
+        stop += 1
+    if stop > start:
+        yield range(start, stop)
 
 
 @dataclass(frozen=True)
@@ -136,6 +155,19 @@ class BHSSTransmitter:
             packet_index=packet_index,
         )
 
+    def hop_plan(
+        self, num_air_symbols: int, packet_index: int
+    ) -> tuple[tuple[HopSegment, ...], list[int]]:
+        """Packet ``packet_index``'s hop segments and waveform samples per segment.
+
+        Known before synthesis: :meth:`transmit_batch` places segments by
+        these counts, and ``LinkSimulator`` sizes its stacked packet groups
+        from their sums, so planned and synthesized lengths agree.
+        """
+        segments = tuple(self.schedule.segments(num_air_symbols, packet_index))
+        cps = self.config.chips_per_symbol
+        return segments, [seg.num_symbols * (cps // 2) * seg.sps for seg in segments]
+
     def transmit_batch(
         self, packet_indices: Sequence[int], payload: bytes | None = None
     ) -> list["TransmittedPacket"]:
@@ -155,6 +187,7 @@ class BHSSTransmitter:
         if not indices:
             return []
         cps = self.config.chips_per_symbol
+        num_air = self.config.air_symbols(None if payload is None else len(payload))
 
         frames: list[np.ndarray] = []
         air_symbols: list[np.ndarray] = []
@@ -171,8 +204,7 @@ class BHSSTransmitter:
                 pkt_payload = payload
             frame = self.config.frame_format.build(pkt_payload)
             symbols = self.coder.encode(frame)
-            segments = tuple(self.schedule.segments(symbols.size, k))
-            seg_counts = [seg.num_symbols * (cps // 2) * seg.sps for seg in segments]
+            segments, seg_counts = self.hop_plan(num_air, k)
             seg_offsets = np.concatenate(([0], np.cumsum(seg_counts))).astype(int)
             frames.append(frame)
             air_symbols.append(symbols)

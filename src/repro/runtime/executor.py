@@ -188,7 +188,9 @@ def resolve_workers(env: str = "REPRO_WORKERS") -> int:
 def resolve_batch(env: str = "REPRO_BATCH") -> int:
     """Packet batch size from the environment; the default when unset.
 
-    ``REPRO_BATCH=128`` stacks 128 packets per vectorized link call;
+    The size is an upper bound on packets per vectorized link call:
+    ``REPRO_BATCH=128`` stacks at most 128 packets per call, fewer when
+    their captures would exceed the link's sample budget.
     ``REPRO_BATCH=0`` (or ``1``) disables batching and selects the serial
     per-packet path.  Unset means the default batch of ``DEFAULT_BATCH``
     packets — the batched path is bit-identical to the serial one, so it

@@ -120,8 +120,9 @@ class SweepTiming:
     cache_hits:
         Points served from the on-disk result cache.
     batch_size:
-        Packets per stacked call of the vectorized link path (``None``
-        when unknown; ``0``/``1`` mean the serial per-packet path).
+        Upper bound on packets per stacked call of the vectorized link
+        path (``None`` when unknown; ``0``/``1`` mean the serial
+        per-packet path).
     retries:
         Task attempts beyond the first that the supervisor recovered
         (injected or real crashes, hangs and task errors).

@@ -221,8 +221,20 @@ class TestBatchSizeInvariance:
 
     @staticmethod
     def _stacked_run(link):
-        """Seven packets through one batch; stacked rows per spread/despread call."""
+        """Seven packets under a cap of seven.
+
+        Returns the stacked rows per spread/despread call and the captures
+        per ``receive_batch`` call.
+        """
         rows = {"spread": [], "despread": []}
+        captures = []
+        raw_receive = link.receiver.receive_batch
+
+        def counted_receive(received, *args, **kwargs):
+            captures.append(len(received))
+            return raw_receive(received, *args, **kwargs)
+
+        link.receiver.receive_batch = counted_receive
         for side, modem, name in (
             ("spread", link.transmitter.modem, "spread_batch"),
             ("despread", link.receiver.modem, "despread_batch"),
@@ -244,16 +256,18 @@ class TestBatchSizeInvariance:
             batch_size=7,
             cache=False,
         )
-        return waves, stats, rows
+        return waves, stats, rows, captures
 
     @pytest.mark.parametrize("budget", [1, 1 << 40])
     def test_sample_budget_does_not_change_outputs(self, monkeypatch, budget):
         # One row per chunk and one chunk per segment group must both
         # reproduce the default chunking bit for bit, in transmit_batch's
-        # waveforms and in the batched link's statistics.
-        default_waves, default_stats, _ = self._stacked_run(LinkSimulator(small_config()))
+        # waveforms and in the batched link's statistics.  The same budget
+        # sizes the link's packet groups: one capture per receive_batch
+        # call at budget 1, all seven in one call at 2^40.
+        default_waves, default_stats, _, _ = self._stacked_run(LinkSimulator(small_config()))
         monkeypatch.setattr(transmitter, "CHUNK_SAMPLES", budget)
-        waves, stats, rows = self._stacked_run(LinkSimulator(small_config()))
+        waves, stats, rows, captures = self._stacked_run(LinkSimulator(small_config()))
         assert [w.tobytes() for w in waves] == [w.tobytes() for w in default_waves]
         assert stats == default_stats
         for side_rows in rows.values():
@@ -261,6 +275,7 @@ class TestBatchSizeInvariance:
                 assert max(side_rows) == 1
             else:
                 assert max(side_rows) > 1  # whole segment groups were stacked
+        assert captures == ([1] * 7 if budget == 1 else [7])
 
 
 class TestEquivalenceManifest:
