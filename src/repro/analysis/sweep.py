@@ -11,15 +11,14 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.runtime import (
     ParallelExecutor,
     SweepCheckpoint,
     SweepTiming,
     canonical,
-    make_checkpoint,
-    resolve_checkpoint_dir,
+    run_grid,
     stable_hash,
 )
 
@@ -39,6 +38,16 @@ class SweepResult:
     columns: tuple[str, ...]
     rows: list[dict] = field(default_factory=list)
     timing: SweepTiming | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_records(
+        cls, columns: Sequence[str], records: Iterable[dict], timing: SweepTiming | None = None
+    ) -> "SweepResult":
+        """A result holding ``records`` (each may carry extra keys) in order."""
+        out = cls(columns=tuple(columns), timing=timing)
+        for record in records:
+            out.add(**record)
+        return out
 
     def add(self, **record) -> None:
         """Append one record (must cover every column)."""
@@ -150,61 +159,20 @@ def run_sweep(
     if cache is not None:
         raise ValueError("cache applies only to Scenario sweeps")
     points = list(grid)
-    total = len(points)
-    ex = executor if executor is not None else ParallelExecutor.from_env()
 
     def call(point):
         if unpack and isinstance(point, tuple):
             return evaluate(*point)
         return evaluate(point)
 
-    ckpt: SweepCheckpoint | None = None
-    if checkpoint is not False and (
-        checkpoint is not None or resolve_checkpoint_dir() is not None
-    ):
-        key = checkpoint_key if checkpoint_key is not None else _grid_key(columns, points)
-        ckpt = make_checkpoint(checkpoint, key, total)
-    loaded: dict[int, Any] = {} if ckpt is None else ckpt.load()
-    pending = [i for i in range(total) if not isinstance(loaded.get(i), dict)]
-    records: list = [loaded[i] if i not in pending else None for i in range(total)]
-    seconds = [0.0] * total
-    wall = 0.0
-    workers = 1
-    retries = 0
-    if pending:
-        on_result: Callable[[int, object], None] | None = None
-        if ckpt is not None:
-            active = ckpt
-
-            def _persist(local_index: int, value: object) -> None:
-                active.record(pending[local_index], value)
-
-            on_result = _persist
-        try:
-            report = ex.map_timed(call, [points[i] for i in pending], on_result=on_result)
-        except BaseException:
-            # Keep whatever finished: an interrupted sweep resumes from here.
-            if ckpt is not None:
-                ckpt.flush()
-            raise
-        for index, value, secs in zip(pending, report.values, report.seconds):
-            records[index] = value
-            seconds[index] = secs
-        wall = report.wall_seconds
-        workers = report.workers
-        retries = report.retries
-    if ckpt is not None:
-        ckpt.complete()
-    result = SweepResult(columns=tuple(columns))
-    for record in records:
-        result.add(**record)
-    result.timing = SweepTiming(
-        wall_seconds=wall,
-        point_seconds=tuple(seconds),
-        workers=workers,
-        retries=retries,
+    records, timing = run_grid(
+        call,
+        points,
+        key=lambda: checkpoint_key if checkpoint_key is not None else _grid_key(columns, points),
+        executor=executor,
+        checkpoint=checkpoint,
     )
-    return result
+    return SweepResult.from_records(columns, records, timing)
 
 
 def write_csv(result: SweepResult, path: str) -> str:

@@ -16,8 +16,8 @@ relative to the unjammed baseline column at the same grid coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.arena.spec import ArenaError, ArenaSpec
 from repro.core.link import LinkSimulator, LinkStats
@@ -25,8 +25,8 @@ from repro.runtime import (
     ParallelExecutor,
     ResultCache,
     SweepTiming,
-    make_checkpoint,
-    resolve_batch,
+    cached_record,
+    run_grid,
     stable_hash,
 )
 
@@ -47,42 +47,6 @@ TOURNAMENT_COLUMNS = (
 )
 
 
-def _cache_token(cache: "ResultCache | str | bool | None") -> "str | bool | None":
-    """Flatten a cache argument to picklable data for the spec payload."""
-    if cache is None or cache is False:
-        return cache
-    if isinstance(cache, ResultCache):
-        return cache.root
-    return str(cache)
-
-
-def _cell_record(
-    label: str, pattern: str, num_bands: int, hop_range: float, stats: LinkStats
-) -> dict:
-    per_lo, per_hi = stats.per_confidence_interval()
-    return {
-        "jammer": label,
-        "pattern": pattern,
-        "num_bands": int(num_bands),
-        "hop_range": float(hop_range),
-        "per": stats.packet_error_rate,
-        "per_lo": per_lo,
-        "per_hi": per_hi,
-        "ber": stats.bit_error_rate,
-        "throughput_bps": stats.throughput_bps,
-        # The raw counters, so callers (and the equivalence wall) can
-        # reconstruct the exact LinkStats from a record or cache entry.
-        "stats": {
-            "num_packets": stats.num_packets,
-            "num_accepted": stats.num_accepted,
-            "total_bits": stats.total_bits,
-            "bit_errors": stats.bit_errors,
-            "data_rate_bps": stats.data_rate_bps,
-            "filter_usage": dict(stats.filter_usage),
-        },
-    }
-
-
 def evaluate_arena_cell(payload: dict, index: int) -> dict:
     """Evaluate one cell of a tournament grid.
 
@@ -93,49 +57,44 @@ def evaluate_arena_cell(payload: dict, index: int) -> dict:
     The memo key is the *content* of the cell (derived config, jammer
     spec, operating point), not its grid position, so duplicate cells —
     e.g. the static-band column repeated across patterns — hit the same
-    entry.
+    entry.  The record carries the raw :class:`LinkStats` counters under
+    ``"stats"``, so callers (and the equivalence wall) can rebuild the
+    exact stats from a record or cache entry.
     """
     spec = ArenaSpec.from_dict(payload["arena"])
-    token = payload.get("cache")
-    if token is None:
-        store = ResultCache.from_env()
-    elif token is False:
-        store = None
-    elif isinstance(token, str):
-        store = ResultCache(token)
-    else:
-        store = token
     config, jammer, label, pattern, num_bands = spec.build_cell(int(index))
-    key = None
-    if store is not None:
-        key = {
-            "kind": "arena.cell",
-            "config": config.to_dict(),
-            "jammer": jammer.spec(),
-            "snr_db": float(spec.snr_db),
-            "sjr_db": float(spec.sjr_db),
-            "packets": int(spec.packets),
-            "seed": int(spec.seed),
+
+    def compute() -> dict:
+        stats = LinkSimulator(config).run_packets_batched(
+            spec.packets,
+            snr_db=spec.snr_db,
+            sjr_db=spec.sjr_db,
+            jammer=jammer,
+            seed=spec.seed,
+            cache=False,  # the cell-level memo is the single cache layer
+        )
+        return {
+            "jammer": label,
+            "pattern": pattern,
+            "num_bands": int(num_bands),
+            "hop_range": float(config.bandwidth_set.hop_range),
+            **stats.row(),
+            "stats": asdict(stats),
         }
-        hit = store.get(key)
-        if hit is not None:
-            record = dict(hit)
-            # Grid coordinates are not part of the content key: restamp
-            # them so a cache hit from a sibling cell reports its own.
-            record.update({"jammer": label, "pattern": pattern, "num_bands": int(num_bands)})
-            return record
-    link = LinkSimulator(config)
-    stats = link.run_packets_batched(
-        spec.packets,
-        snr_db=spec.snr_db,
-        sjr_db=spec.sjr_db,
-        jammer=jammer,
-        seed=spec.seed,
-        cache=False,  # the cell-level memo above is the single cache layer
-    )
-    record = _cell_record(label, pattern, num_bands, config.bandwidth_set.hop_range, stats)
-    if key is not None and store is not None:
-        store.put(key, record)
+
+    key = {
+        "kind": "arena.cell",
+        "config": config.to_dict(),
+        "jammer": jammer.spec(),
+        "snr_db": float(spec.snr_db),
+        "sjr_db": float(spec.sjr_db),
+        "packets": int(spec.packets),
+        "seed": int(spec.seed),
+    }
+    record = cached_record(payload.get("cache"), key, compute)
+    # Grid coordinates are not part of the content key: restamp them so
+    # a cache hit from a sibling cell reports its own.
+    record.update({"jammer": label, "pattern": pattern, "num_bands": int(num_bands)})
     return record
 
 
@@ -215,11 +174,7 @@ class TournamentResult:
         """The per-cell resilience matrix as a tidy :class:`SweepResult`."""
         from repro.analysis.sweep import SweepResult
 
-        out = SweepResult(columns=TOURNAMENT_COLUMNS)
-        for record in self.records:
-            out.add(**{c: record[c] for c in TOURNAMENT_COLUMNS})
-        out.timing = self.timing
-        return out
+        return SweepResult.from_records(TOURNAMENT_COLUMNS, self.records, self.timing)
 
 
 def run_tournament(
@@ -240,57 +195,15 @@ def run_tournament(
     under the arena's canonical spec hash, so a rerun of the *same*
     tournament recomputes only unfinished cells.
     """
-    ex = executor if executor is not None else ParallelExecutor.from_env()
     spec_dict = spec.to_dict()
-    payload = {"arena": spec_dict, "cache": _cache_token(cache)}
-    total = spec.num_cells
-    ckpt = make_checkpoint(checkpoint, stable_hash({"arena": spec_dict}), total)
-    loaded: dict[int, Any] = {} if ckpt is None else ckpt.load()
-    pending = [i for i in range(total) if not isinstance(loaded.get(i), dict)]
-    records: list[dict | None] = [loaded[i] if i not in pending else None for i in range(total)]
-    seconds = [0.0] * total
-    wall = 0.0
-    workers = 1
-    retries = 0
-    if pending:
-        on_result: Callable[[int, object], None] | None = None
-        if ckpt is not None:
-            active = ckpt
-
-            def _persist(local_index: int, value: object) -> None:
-                active.record(pending[local_index], value)
-
-            on_result = _persist
-        try:
-            report = ex.map_spec(
-                evaluate_arena_cell,
-                payload,
-                pending,
-                on_result=on_result,
-            )
-        except BaseException:
-            # Keep whatever finished: an interrupted run resumes from here.
-            if ckpt is not None:
-                ckpt.flush()
-            raise
-        for index, value, secs in zip(pending, report.values, report.seconds):
-            records[index] = value
-            seconds[index] = secs
-        wall = report.wall_seconds
-        workers = report.workers
-        retries = report.retries
-    if ckpt is not None:
-        ckpt.complete()
-    final: list[dict] = []
-    for record in records:
-        assert record is not None  # every index is either loaded or pending
-        final.append(record)
-    timing = SweepTiming(
-        wall_seconds=wall,
-        point_seconds=tuple(seconds),
-        workers=workers,
-        packets=spec.packets * total,
-        batch_size=resolve_batch(),
-        retries=retries,
+    records, timing = run_grid(
+        evaluate_arena_cell,
+        range(spec.num_cells),
+        key=stable_hash({"arena": spec_dict}),
+        payload={"arena": spec_dict},
+        executor=executor,
+        cache=cache,
+        checkpoint=checkpoint,
+        packets=spec.packets,
     )
-    return TournamentResult(spec=spec, records=final, timing=timing)
+    return TournamentResult(spec=spec, records=records, timing=timing)

@@ -67,12 +67,16 @@ paths, unknown names).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.analysis import ThresholdSearch, min_snr_for_per, run_sweep
+from repro.arena import ArenaError, ArenaSpec, run_tournament
 from repro.backend import available_backends, resolve_backend, use_backend
 from repro.core import BHSSConfig, BHSSTransmitter, LinkSimulator, theory
 from repro.hopping import (
@@ -89,6 +93,10 @@ from repro.jamming import (
     SweepJammer,
     ToneJammer,
 )
+from repro.network import NetworkError, NetworkSpec, run_network
+from repro.protocol import SessionError, SessionSpec, run_session
+from repro.runtime import resolve_cache
+from repro.scenario import Scenario, ScenarioError, run_scenario
 from repro.utils import format_table, save_recording
 
 __all__ = ["main", "build_parser"]
@@ -437,8 +445,6 @@ def _profile_backends(args, config, link, batch_report, serial_stats) -> dict:
 
 def cmd_bench(args) -> int:
     """Serial-vs-batched link timing plus the serial-vs-pool sweep check."""
-    import json
-
     from repro.runtime import ParallelExecutor, resolve_workers
 
     config = _build_config(args)
@@ -606,127 +612,134 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
-def _run_network_file(args) -> int:
-    """The ``run --network`` path: one shared-spectrum network file."""
-    from repro.network import NetworkError, NetworkSpec, run_network
+#: the per-link result columns every link-level kind shows, and their cells.
+_LINK_HEADERS = ["PER", "95% CI", "BER", "goodput (kb/s)"]
 
-    try:
-        spec = NetworkSpec.load(args.network)
-    except NetworkError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    label = f" — {spec.description}" if spec.description else ""
-    print(
-        f"network {spec.name!r}{label}: "
-        f"{spec.num_links} links x {spec.packets} packets, {spec.num_jammers} jammer(s)"
-    )
-    result = run_network(spec, checkpoint=args.checkpoint)
-    rows = [
-        [
-            r["link"],
-            f"{r['snr_db']:g}",
-            f"{r['sjr_db']:g}",
-            f"{r['per']:.3f}",
-            f"[{r['per_lo']:.2f},{r['per_hi']:.2f}]",
-            f"{r['ber']:.5f}",
-            f"{r['throughput_bps'] / 1e3:.1f}",
-        ]
-        for r in result.records
+
+def _link_cells(r: dict) -> list[str]:
+    return [
+        f"{r['per']:.3f}",
+        f"[{r['per_lo']:.2f},{r['per_hi']:.2f}]",
+        f"{r['ber']:.5f}",
+        f"{r['throughput_bps'] / 1e3:.1f}",
     ]
-    print(
-        format_table(
-            ["link", "SNR (dB)", "SJR (dB)", "PER", "95% CI", "BER", "goodput (kb/s)"],
-            rows,
-            title=f"network: {spec.name}",
-        )
-    )
+
+
+def _network_footer(spec: NetworkSpec, result) -> list[str]:
     agg = result.aggregates()
-    print(
+    return [
         f"network throughput {agg['network_throughput_bps'] / 1e3:.1f} kb/s, "
         f"Jain fairness {agg['fairness']:.4f}, mean PER {agg['mean_per']:.3f}"
-    )
-    if result.timing is not None:
-        print(result.timing.summary())
-    if args.output:
-        from repro.analysis import write_csv
-
-        print(f"wrote {write_csv(result.to_sweep_result(), args.output)}")
-    return 0
-
-
-def _run_tournament_file(args) -> int:
-    """The ``run --tournament`` path: one arena (jammer tournament) file."""
-    from repro.arena import ArenaError, ArenaSpec, run_tournament
-
-    try:
-        spec = ArenaSpec.load(args.tournament)
-    except ArenaError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    label = f" — {spec.description}" if spec.description else ""
-    print(
-        f"tournament {spec.name!r}{label}: "
-        f"{len(spec.jammers)} jammers x {len(spec.patterns)} patterns x "
-        f"{len(spec.hop_ranges)} hop ranges = {spec.num_cells} cells "
-        f"x {spec.packets} packets"
-    )
-    result = run_tournament(spec, checkpoint=args.checkpoint)
-    rows = [
-        [
-            r["jammer"],
-            r["pattern"],
-            f"{r['num_bands']}",
-            f"{r['hop_range']:g}",
-            f"{r['per']:.3f}",
-            f"[{r['per_lo']:.2f},{r['per_hi']:.2f}]",
-            f"{r['ber']:.5f}",
-            f"{r['throughput_bps'] / 1e3:.1f}",
-        ]
-        for r in result.records
     ]
-    print(
-        format_table(
-            ["jammer", "pattern", "bands", "hop range", "PER", "95% CI", "BER", "goodput (kb/s)"],
-            rows,
-            title=f"resilience matrix: {spec.name}",
-        )
-    )
-    if spec.baseline_label is not None:
-        advantage = result.jammer_advantage()
-        if advantage:
-            summary = ", ".join(f"{k} {v:+.3f}" for k, v in sorted(advantage.items()))
-            print(f"jammer advantage (PER points vs {spec.baseline_label!r}): {summary}")
-    else:
-        print('(no {"type": "none"} baseline jammer: jammer-advantage summary skipped)')
-    if result.timing is not None:
-        print(result.timing.summary())
-    if args.output:
-        from repro.analysis import write_csv
-
-        print(f"wrote {write_csv(result.to_sweep_result(), args.output)}")
-    return 0
 
 
-def _run_session_file(args) -> int:
-    """The ``run --session`` path: one seed-synchronized session file."""
-    from repro.protocol import SessionError, SessionSpec, run_session
+def _arena_footer(spec: ArenaSpec, result) -> list[str]:
+    if spec.baseline_label is None:
+        return ['(no {"type": "none"} baseline jammer: jammer-advantage summary skipped)']
+    advantage = result.jammer_advantage()
+    if not advantage:
+        return []
+    summary = ", ".join(f"{k} {v:+.3f}" for k, v in sorted(advantage.items()))
+    return [f"jammer advantage (PER points vs {spec.baseline_label!r}): {summary}"]
 
-    try:
-        spec = SessionSpec.load(args.session)
-    except SessionError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    label = f" — {spec.description}" if spec.description else ""
-    print(
-        f"session {spec.name!r}{label}: "
-        f"{len(spec.points())} operating points, "
-        f"{spec.traffic.num_messages} messages x {spec.traffic.message_bytes} bytes "
-        f"({spec.num_fragments()} fragments), "
-        f"retry budget {spec.resync_retries} x {spec.sync_timeout}"
-    )
-    result = run_session(spec, checkpoint=args.checkpoint)
-    rows = [
-        [
+
+@dataclass(frozen=True)
+class SpecKind:
+    """How the CLI loads, describes, runs and prints one kind of spec file.
+
+    ``spec`` loads it (``from_dict``), raising ``error``; ``size`` is the
+    ``run`` header's description, ``summary`` the ``scenario validate``
+    one and ``listing`` the two ``scenario list`` cells; ``headers``,
+    ``cells`` and ``title`` render the result table, and ``footer`` the
+    lines printed under it.
+    """
+
+    noun: str
+    flag: str
+    spec: Any
+    error: type[ValueError]
+    run: Callable[..., Any]
+    size: Callable[[Any], str]
+    summary: Callable[[Any], str]
+    listing: Callable[[Any], tuple[str, str]]
+    headers: list[str]
+    cells: Callable[[dict], list[str]]
+    title: str
+    footer: Callable[[Any, Any], list[str]] = lambda spec, result: []
+
+
+def _scenario_size(s: Scenario) -> str:
+    return f"{len(s.points())} points x {s.packets} packets"
+
+
+def _network_size(n: NetworkSpec) -> str:
+    return f"{n.num_links} links x {n.packets} packets, {n.num_jammers} jammer(s)"
+
+
+#: every kind of spec file, keyed by the name :func:`spec_kind` returns.
+SPEC_KINDS: dict[str, SpecKind] = {
+    "scenario": SpecKind(
+        noun="scenario", flag="scenario", spec=Scenario, error=ScenarioError, run=run_scenario,
+        size=_scenario_size,
+        summary=_scenario_size,
+        listing=lambda s: (str(s.jammer.get("type", "?")), f"{len(s.points())}x{s.packets}"),
+        headers=["SNR (dB)", "SJR (dB)", *_LINK_HEADERS],
+        cells=lambda r: [f"{r['snr_db']:g}", f"{r['sjr_db']:g}", *_link_cells(r)],
+        title="scenario",
+    ),
+    "network": SpecKind(
+        noun="network", flag="network", spec=NetworkSpec, error=NetworkError, run=run_network,
+        size=_network_size,
+        summary=_network_size,
+        listing=lambda n: (
+            f"network ({n.num_jammers} jammed)", f"{n.num_links} links x{n.packets}"
+        ),
+        headers=["link", "SNR (dB)", "SJR (dB)", *_LINK_HEADERS],
+        cells=lambda r: [r["link"], f"{r['snr_db']:g}", f"{r['sjr_db']:g}", *_link_cells(r)],
+        title="network",
+        footer=_network_footer,
+    ),
+    "arena": SpecKind(
+        noun="arena", flag="tournament", spec=ArenaSpec, error=ArenaError, run=run_tournament,
+        size=lambda a: (
+            f"{len(a.jammers)} jammers x {len(a.patterns)} patterns x "
+            f"{len(a.hop_ranges)} hop ranges = {a.num_cells} cells x {a.packets} packets"
+        ),
+        summary=lambda a: (
+            f"{a.num_cells} cells x {a.packets} packets, {len(a.jammers)} jammer(s)"
+        ),
+        listing=lambda a: (
+            f"arena ({len(a.jammers)} jammers)", f"{a.num_cells} cells x{a.packets}"
+        ),
+        headers=["jammer", "pattern", "bands", "hop range", *_LINK_HEADERS],
+        cells=lambda r: [
+            r["jammer"], r["pattern"], f"{r['num_bands']}", f"{r['hop_range']:g}",
+            *_link_cells(r),
+        ],
+        title="resilience matrix",
+        footer=_arena_footer,
+    ),
+    "session": SpecKind(
+        noun="session", flag="session", spec=SessionSpec, error=SessionError, run=run_session,
+        size=lambda s: (
+            f"{len(s.points())} operating points, "
+            f"{s.traffic.num_messages} messages x {s.traffic.message_bytes} bytes "
+            f"({s.num_fragments()} fragments), "
+            f"retry budget {s.resync_retries} x {s.sync_timeout}"
+        ),
+        summary=lambda s: (
+            f"{len(s.points())} points, "
+            f"{s.traffic.num_messages} messages x {s.traffic.message_bytes} bytes"
+        ),
+        listing=lambda s: (
+            f"session ({s.jammer.get('type', '?')})",
+            f"{len(s.points())} pts x{s.traffic.num_messages} msgs",
+        ),
+        headers=[
+            "SNR (dB)", "SJR (dB)", "delivery", "goodput (kb/s)", "data PER",
+            "desyncs", "resyncs", "resync slots", "degraded",
+        ],
+        cells=lambda r: [
             f"{r['snr_db']:g}",
             f"{r['sjr_db']:g}",
             f"{r['delivery_ratio']:.3f}",
@@ -736,32 +749,50 @@ def _run_session_file(args) -> int:
             f"{r['resync_count']:g}",
             f"{r['mean_resync_latency']:.1f}",
             "yes" if r["degraded"] else "no",
-        ]
-        for r in result.rows
-    ]
-    print(
-        format_table(
-            [
-                "SNR (dB)", "SJR (dB)", "delivery", "goodput (kb/s)", "data PER",
-                "desyncs", "resyncs", "resync slots", "degraded",
-            ],
-            rows,
-            title=f"session: {spec.name}",
-        )
-    )
-    if result.timing is not None:
-        print(result.timing.summary())
-    if args.output:
-        from repro.analysis import write_csv
+        ],
+        title="session",
+    ),
+}
 
-        print(f"wrote {write_csv(result, args.output)}")
-    return 0
+_SPEC_ERRORS = tuple(kind.error for kind in SPEC_KINDS.values())
+
+
+def spec_kind(data: object) -> str:
+    """The kind of a parsed spec file, read off its top-level keys.
+
+    A ``links`` array makes a network, a ``jammers`` map an arena and a
+    ``traffic`` map a session (checked in that order); anything else is
+    a scenario, whose loader names what is wrong with it.
+    """
+    if isinstance(data, dict):
+        for key, kind in (("links", "network"), ("jammers", "arena"), ("traffic", "session")):
+            if key in data:
+                return kind
+    return "scenario"
+
+
+def _load_spec(path: str, kind: SpecKind | None = None) -> tuple[SpecKind, Any]:
+    """Read ``path`` once and load it as ``kind`` (sniffed by :func:`spec_kind`).
+
+    A file that cannot be read or parsed raises ``kind``'s error, the
+    scenario error when the kind is to be sniffed.
+    """
+    reader = kind or SPEC_KINDS["scenario"]
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise reader.error(f"{path}: cannot read {reader.noun} file ({exc})") from None
+    except ValueError as exc:
+        raise reader.error(f"{path}: invalid JSON ({exc})") from None
+    kind = kind or SPEC_KINDS[spec_kind(data)]
+    return kind, kind.spec.from_dict(data, source=path)
 
 
 def cmd_run(args) -> int:
-    from repro.scenario import Scenario, ScenarioError, run_scenario
+    from repro.analysis import SweepResult, write_csv
 
-    given = [n for n in ("scenario", "network", "tournament", "session") if getattr(args, n)]
+    given = [kind for kind in SPEC_KINDS.values() if getattr(args, kind.flag)]
     if len(given) != 1:
         print(
             "run: exactly one of --scenario, --network, --tournament or --session "
@@ -769,47 +800,23 @@ def cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.session:
-        return _run_session_file(args)
-    if args.tournament:
-        return _run_tournament_file(args)
-    if args.network:
-        return _run_network_file(args)
     try:
-        scenario = Scenario.load(args.scenario)
-    except ScenarioError as exc:
+        kind, spec = _load_spec(getattr(args, given[0].flag), given[0])
+    except _SPEC_ERRORS as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    label = f" — {scenario.description}" if scenario.description else ""
-    print(
-        f"scenario {scenario.name!r}{label}: "
-        f"{len(scenario.points())} points x {scenario.packets} packets"
-    )
-    result = run_scenario(scenario, checkpoint=args.checkpoint)
-    rows = [
-        [
-            f"{r['snr_db']:g}",
-            f"{r['sjr_db']:g}",
-            f"{r['per']:.3f}",
-            f"[{r['per_lo']:.2f},{r['per_hi']:.2f}]",
-            f"{r['ber']:.5f}",
-            f"{r['throughput_bps'] / 1e3:.1f}",
-        ]
-        for r in result.rows
-    ]
-    print(
-        format_table(
-            ["SNR (dB)", "SJR (dB)", "PER", "95% CI", "BER", "goodput (kb/s)"],
-            rows,
-            title=f"scenario: {scenario.name}",
-        )
-    )
-    if result.timing is not None:
-        print(result.timing.summary())
+    label = f" — {spec.description}" if spec.description else ""
+    print(f"{kind.flag} {spec.name!r}{label}: {kind.size(spec)}")
+    result = kind.run(spec, checkpoint=args.checkpoint)
+    table = result if isinstance(result, SweepResult) else result.to_sweep_result()
+    rows = [kind.cells(r) for r in table.rows]
+    print(format_table(kind.headers, rows, title=f"{kind.title}: {spec.name}"))
+    for line in kind.footer(spec, result):
+        print(line)
+    if table.timing is not None:
+        print(table.timing.summary())
     if args.output:
-        from repro.analysis import write_csv
-
-        print(f"wrote {write_csv(result, args.output)}")
+        print(f"wrote {write_csv(table, args.output)}")
     return 0
 
 
@@ -830,65 +837,7 @@ def _scenario_files(paths: list[str]) -> list[str]:
     return files
 
 
-def _is_network_file(path: str) -> bool:
-    """Whether a spec file is a network spec (has a ``links`` array).
-
-    Unreadable/unparsable files return ``False`` so they fall through to
-    the scenario loader, whose error messages name the problem.
-    """
-    import json
-
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return False
-    return isinstance(data, dict) and "links" in data
-
-
-def _is_arena_file(path: str) -> bool:
-    """Whether a spec file is a tournament arena (has a ``jammers`` map).
-
-    Same fall-through contract as :func:`_is_network_file`: unreadable or
-    unparsable files return ``False`` and land in the scenario loader.
-    """
-    import json
-
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return False
-    return isinstance(data, dict) and "jammers" in data and "links" not in data
-
-
-def _is_session_file(path: str) -> bool:
-    """Whether a spec file is a protocol session (has a ``traffic`` map).
-
-    Same fall-through contract as :func:`_is_network_file`: unreadable or
-    unparsable files return ``False`` and land in the scenario loader.
-    """
-    import json
-
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return False
-    return (
-        isinstance(data, dict)
-        and "traffic" in data
-        and "links" not in data
-        and "jammers" not in data
-    )
-
-
 def cmd_scenario_validate(args) -> int:
-    from repro.arena import ArenaError, ArenaSpec
-    from repro.network import NetworkError, NetworkSpec
-    from repro.protocol import SessionError, SessionSpec
-    from repro.scenario import Scenario, ScenarioError
-
     files = _scenario_files(args.paths)
     if not files:
         print("no scenario files found", file=sys.stderr)
@@ -896,114 +845,30 @@ def cmd_scenario_validate(args) -> int:
     failures = 0
     for path in files:
         try:
-            if _is_session_file(path):
-                session = SessionSpec.load(path)
-                print(
-                    f"ok    {path}: {session.name} "
-                    f"({len(session.points())} points, "
-                    f"{session.traffic.num_messages} messages x "
-                    f"{session.traffic.message_bytes} bytes)"
-                )
-            elif _is_arena_file(path):
-                arena = ArenaSpec.load(path)
-                print(
-                    f"ok    {path}: {arena.name} "
-                    f"({arena.num_cells} cells x {arena.packets} packets, "
-                    f"{len(arena.jammers)} jammer(s))"
-                )
-            elif _is_network_file(path):
-                network = NetworkSpec.load(path)
-                print(
-                    f"ok    {path}: {network.name} "
-                    f"({network.num_links} links x {network.packets} packets, "
-                    f"{network.num_jammers} jammer(s))"
-                )
-            else:
-                scenario = Scenario.load(path)
-                print(
-                    f"ok    {path}: {scenario.name} "
-                    f"({len(scenario.points())} points x {scenario.packets} packets)"
-                )
-        except (ArenaError, NetworkError, SessionError, ScenarioError) as exc:
+            kind, spec = _load_spec(path)
+        except _SPEC_ERRORS as exc:
             failures += 1
             print(f"FAIL  {exc}")
+            continue
+        print(f"ok    {path}: {spec.name} ({kind.summary(spec)})")
     print(f"{len(files) - failures}/{len(files)} scenario files valid")
     return 1 if failures else 0
 
 
 def cmd_scenario_list(args) -> int:
-    from repro.arena import ArenaError, ArenaSpec
-    from repro.network import NetworkError, NetworkSpec
-    from repro.protocol import SessionError, SessionSpec
-    from repro.scenario import Scenario, ScenarioError
-
     files = _scenario_files([args.directory])
     if not files:
         print(f"no scenario files in {args.directory!r}", file=sys.stderr)
         return 2
     rows = []
     for path in files:
-        if _is_session_file(path):
-            try:
-                sess = SessionSpec.load(path)
-            except SessionError:
-                rows.append([os.path.basename(path), "(invalid)", "-", "-", "-"])
-                continue
-            rows.append(
-                [
-                    os.path.basename(path),
-                    sess.name,
-                    f"session ({sess.jammer.get('type', '?')})",
-                    f"{len(sess.points())} pts x{sess.traffic.num_messages} msgs",
-                    sess.description[:48],
-                ]
-            )
-            continue
-        if _is_arena_file(path):
-            try:
-                a = ArenaSpec.load(path)
-            except ArenaError:
-                rows.append([os.path.basename(path), "(invalid)", "-", "-", "-"])
-                continue
-            rows.append(
-                [
-                    os.path.basename(path),
-                    a.name,
-                    f"arena ({len(a.jammers)} jammers)",
-                    f"{a.num_cells} cells x{a.packets}",
-                    a.description[:48],
-                ]
-            )
-            continue
-        if _is_network_file(path):
-            try:
-                n = NetworkSpec.load(path)
-            except NetworkError:
-                rows.append([os.path.basename(path), "(invalid)", "-", "-", "-"])
-                continue
-            rows.append(
-                [
-                    os.path.basename(path),
-                    n.name,
-                    f"network ({n.num_jammers} jammed)",
-                    f"{n.num_links} links x{n.packets}",
-                    n.description[:48],
-                ]
-            )
-            continue
         try:
-            s = Scenario.load(path)
-        except ScenarioError:
+            kind, spec = _load_spec(path)
+        except _SPEC_ERRORS:
             rows.append([os.path.basename(path), "(invalid)", "-", "-", "-"])
             continue
         rows.append(
-            [
-                os.path.basename(path),
-                s.name,
-                str(s.jammer.get("type", "?")),
-                f"{len(s.points())}x{s.packets}",
-                s.description[:48],
-            ]
+            [os.path.basename(path), spec.name, *kind.listing(spec), spec.description[:48]]
         )
     print(
         format_table(
@@ -1017,11 +882,7 @@ def cmd_scenario_list(args) -> int:
 
 def _cache_store(directory: str | None):
     """The result cache named on the command line or by ``REPRO_CACHE``."""
-    from repro.runtime import ResultCache
-
-    if directory:
-        return ResultCache(directory)
-    store = ResultCache.from_env()
+    store = resolve_cache(directory or None)
     if store is None:
         print(
             "no cache directory given and REPRO_CACHE is unset "

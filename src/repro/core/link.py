@@ -27,7 +27,7 @@ from repro.core.paths import PacketOutcome, RxPath, TxPath, draw_jammer_wave
 from repro.core.receiver import BHSSReceiver
 from repro.core.transmitter import BHSSTransmitter, TransmittedPacket, budget_groups
 from repro.jamming.base import Jammer
-from repro.runtime import ParallelExecutor, ResultCache, canonical, resolve_batch
+from repro.runtime import ParallelExecutor, ResultCache, canonical, resolve_batch, resolve_cache
 from repro.utils.rng import child_rng, make_rng
 
 __all__ = ["LinkSimulator", "PacketOutcome", "LinkStats"]
@@ -121,6 +121,17 @@ class LinkStats:
             "data_rate_bps": self.data_rate_bps,
             "throughput_bps": self.throughput_bps,
             "filter_usage": dict(self.filter_usage),
+        }
+
+    def row(self) -> dict:
+        """The ``per``/``per_lo``/``per_hi``/``ber``/``throughput_bps`` result columns."""
+        per_lo, per_hi = self.per_confidence_interval()
+        return {
+            "per": self.packet_error_rate,
+            "per_lo": per_lo,
+            "per_hi": per_hi,
+            "ber": self.bit_error_rate,
+            "throughput_bps": self.throughput_bps,
         }
 
     def per_confidence_interval(self, z: float = 1.96) -> tuple[float, float]:
@@ -278,7 +289,7 @@ class LinkSimulator:
         payload: bytes | None = None,
         jammer_delay_samples: int = 0,
         executor: ParallelExecutor | None = None,
-        cache: "ResultCache | bool | None" = None,
+        cache: "ResultCache | str | bool | None" = None,
     ) -> LinkStats:
         """Simulate a batch of packets and aggregate the statistics.
 
@@ -290,12 +301,13 @@ class LinkSimulator:
         sweepers — see :attr:`Jammer.is_stateful`) must see packets in
         order and therefore always run on the serial path.
 
-        With ``cache`` (default: the ``REPRO_CACHE``-configured on-disk
-        cache, disabled when unset) the aggregated statistics of
-        memoryless-jammer batches are memoized under a stable hash of
-        (config fingerprint, operating point, seed, packet budget).
-        ``cache=False`` forces caching off regardless of the environment
-        (used by timing benchmarks).
+        With ``cache`` (read by :func:`~repro.runtime.cache.resolve_cache`:
+        ``None`` is the ``REPRO_CACHE``-configured on-disk cache, disabled
+        when unset; ``True`` the default directory; a path or a store) the
+        aggregated statistics of memoryless-jammer batches are memoized
+        under a stable hash of (config fingerprint, operating point, seed,
+        packet budget).  ``cache=False`` forces caching off regardless of
+        the environment (used by timing benchmarks).
         """
         ex = executor if executor is not None else ParallelExecutor.from_env()
         point = dict(
@@ -346,19 +358,18 @@ class LinkSimulator:
         self,
         num_packets: int,
         point: dict[str, Any],
-        cache: "ResultCache | bool | None",
+        cache: "ResultCache | str | bool | None",
         parts: Iterable[_Totals],
     ) -> LinkStats:
         """Sum the lazy per-chunk ``parts`` into :class:`LinkStats`, through the cache.
 
-        ``cache=None`` resolves ``REPRO_CACHE``; ``False`` turns caching off.
-        Memoryless-jammer batches are looked up first: a hit never consumes ``parts``.
+        ``cache`` goes through :func:`resolve_cache`.  Memoryless-jammer
+        batches are looked up first: a hit never consumes ``parts``.
         """
         if num_packets < 1:
             raise ValueError(f"num_packets must be >= 1, got {num_packets}")
-        store = ResultCache.from_env() if cache is None else cache
-        key = None
-        if store is not None and store is not False and _order_free(point["jammer"]):
+        store = resolve_cache(cache) if _order_free(point["jammer"]) else None
+        if store is not None:
             key = self._stats_cache_key(num_packets, **point)
             hit = store.get(key)
             if hit is not None:
@@ -372,7 +383,7 @@ class LinkSimulator:
             data_rate_bps=self.data_rate_bps(),
             filter_usage=usage,
         )
-        if key is not None:
+        if store is not None:
             store.put(key, asdict(stats))
         return stats
 
@@ -386,7 +397,7 @@ class LinkSimulator:
         payload: bytes | None = None,
         jammer_delay_samples: int = 0,
         batch_size: int | None = None,
-        cache: "ResultCache | bool | None" = None,
+        cache: "ResultCache | str | bool | None" = None,
     ) -> LinkStats:
         """Vectorized :meth:`run_packets`: stack packets, same statistics.
 

@@ -11,8 +11,8 @@ checkpoint incrementally so an interrupted run resumes bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.link import LinkStats
 from repro.network.metrics import jain_fairness
@@ -21,8 +21,8 @@ from repro.runtime import (
     ParallelExecutor,
     ResultCache,
     SweepTiming,
-    make_checkpoint,
-    resolve_batch,
+    cached_record,
+    run_grid,
     stable_hash,
 )
 
@@ -45,39 +45,6 @@ NETWORK_COLUMNS = ("link", "snr_db", "sjr_db", "per", "per_lo", "per_hi", "ber",
 JAMMER_SWEEP_COLUMNS = ("num_jammers", "network_throughput_bps", "fairness", "mean_per")
 
 
-def _cache_token(cache: "ResultCache | str | bool | None") -> "str | bool | None":
-    """Flatten a cache argument to picklable data for the spec payload."""
-    if cache is None or cache is False:
-        return cache
-    if isinstance(cache, ResultCache):
-        return cache.root
-    return str(cache)
-
-
-def _stats_record(name: str, link_snr_db: float, link_sjr_db: float, stats: LinkStats) -> dict:
-    per_lo, per_hi = stats.per_confidence_interval()
-    return {
-        "link": name,
-        "snr_db": float(link_snr_db),
-        "sjr_db": float(link_sjr_db),
-        "per": stats.packet_error_rate,
-        "per_lo": per_lo,
-        "per_hi": per_hi,
-        "ber": stats.bit_error_rate,
-        "throughput_bps": stats.throughput_bps,
-        # The raw counters, so callers (and the equivalence wall) can
-        # reconstruct the exact LinkStats from a record or cache entry.
-        "stats": {
-            "num_packets": stats.num_packets,
-            "num_accepted": stats.num_accepted,
-            "total_bits": stats.total_bits,
-            "bit_errors": stats.bit_errors,
-            "data_rate_bps": stats.data_rate_bps,
-            "filter_usage": dict(stats.filter_usage),
-        },
-    }
-
-
 def evaluate_network_link(payload: dict, index: int) -> dict:
     """Evaluate one link of a network spec.
 
@@ -88,37 +55,29 @@ def evaluate_network_link(payload: dict, index: int) -> dict:
     state.  Per-link results are memoized under the canonical network
     spec hash; unlike the single-link batch cache this needs no
     statefulness guard, because each call rebuilds its jammer from the
-    spec and walks the packets in order.
+    spec and walks the packets in order.  The record carries the raw
+    :class:`LinkStats` counters under ``"stats"``, so callers (and the
+    equivalence wall) can rebuild the exact stats from a record or cache
+    entry.
     """
     from repro.network.simulator import NetworkSimulator
 
     spec = NetworkSpec.from_dict(payload["network"])
-    token = payload.get("cache")
-    if token is None:
-        store = ResultCache.from_env()
-    elif token is False:
-        store = None
-    elif isinstance(token, str):
-        store = ResultCache(token)
-    else:
-        store = token
     index = int(index)
-    key = None
-    if store is not None:
-        key = {
-            "kind": "NetworkSimulator.run_link",
-            "network": spec.to_dict(),
-            "link": index,
+
+    def compute() -> dict:
+        stats = NetworkSimulator(spec).run_link(index)
+        link = spec.links[index]
+        return {
+            "link": link.name,
+            "snr_db": float(link.snr_db),
+            "sjr_db": float(link.sjr_db),
+            **stats.row(),
+            "stats": asdict(stats),
         }
-        hit = store.get(key)
-        if hit is not None:
-            return dict(hit)
-    stats = NetworkSimulator(spec).run_link(index)
-    link = spec.links[index]
-    record = _stats_record(link.name, link.snr_db, link.sjr_db, stats)
-    if key is not None and store is not None:
-        store.put(key, record)
-    return record
+
+    key = {"kind": "NetworkSimulator.run_link", "network": spec.to_dict(), "link": index}
+    return cached_record(payload.get("cache"), key, compute)
 
 
 @dataclass
@@ -172,11 +131,7 @@ class NetworkResult:
         """The per-link table as a tidy :class:`SweepResult`."""
         from repro.analysis.sweep import SweepResult
 
-        out = SweepResult(columns=NETWORK_COLUMNS)
-        for record in self.records:
-            out.add(**{c: record[c] for c in NETWORK_COLUMNS})
-        out.timing = self.timing
-        return out
+        return SweepResult.from_records(NETWORK_COLUMNS, self.records, self.timing)
 
 
 def run_network(
@@ -197,60 +152,18 @@ def run_network(
     under the network's canonical spec hash, so a rerun of the *same*
     network recomputes only unfinished links.
     """
-    ex = executor if executor is not None else ParallelExecutor.from_env()
     spec_dict = spec.to_dict()
-    payload = {"network": spec_dict, "cache": _cache_token(cache)}
-    total = spec.num_links
-    ckpt = make_checkpoint(checkpoint, stable_hash({"network": spec_dict}), total)
-    loaded: dict[int, Any] = {} if ckpt is None else ckpt.load()
-    pending = [i for i in range(total) if not isinstance(loaded.get(i), dict)]
-    records: list[dict | None] = [loaded[i] if i not in pending else None for i in range(total)]
-    seconds = [0.0] * total
-    wall = 0.0
-    workers = 1
-    retries = 0
-    if pending:
-        on_result: Callable[[int, object], None] | None = None
-        if ckpt is not None:
-            active = ckpt
-
-            def _persist(local_index: int, value: object) -> None:
-                active.record(pending[local_index], value)
-
-            on_result = _persist
-        try:
-            report = ex.map_spec(
-                evaluate_network_link,
-                payload,
-                pending,
-                on_result=on_result,
-            )
-        except BaseException:
-            # Keep whatever finished: an interrupted run resumes from here.
-            if ckpt is not None:
-                ckpt.flush()
-            raise
-        for index, value, secs in zip(pending, report.values, report.seconds):
-            records[index] = value
-            seconds[index] = secs
-        wall = report.wall_seconds
-        workers = report.workers
-        retries = report.retries
-    if ckpt is not None:
-        ckpt.complete()
-    final: list[dict] = []
-    for record in records:
-        assert record is not None  # every index is either loaded or pending
-        final.append(record)
-    timing = SweepTiming(
-        wall_seconds=wall,
-        point_seconds=tuple(seconds),
-        workers=workers,
-        packets=spec.packets * total,
-        batch_size=resolve_batch(),
-        retries=retries,
+    records, timing = run_grid(
+        evaluate_network_link,
+        range(spec.num_links),
+        key=stable_hash({"network": spec_dict}),
+        payload={"network": spec_dict},
+        executor=executor,
+        cache=cache,
+        checkpoint=checkpoint,
+        packets=spec.packets,
     )
-    return NetworkResult(spec=spec, records=final, timing=timing)
+    return NetworkResult(spec=spec, records=records, timing=timing)
 
 
 def jammer_count_sweep(

@@ -18,15 +18,14 @@ never aliases a fault-free entry.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
 from repro.runtime import (
     ParallelExecutor,
     ResultCache,
     SweepCheckpoint,
-    SweepTiming,
-    make_checkpoint,
-    resolve_batch,
+    cached_record,
+    run_grid,
     stable_hash,
 )
 from repro.runtime.faults import FaultPlan
@@ -51,15 +50,6 @@ SESSION_COLUMNS = (
     "mean_resync_latency",
     "degraded",
 )
-
-
-def _cache_token(cache: "ResultCache | str | bool | None") -> "str | bool | None":
-    """Flatten a cache argument to picklable data for the spec payload."""
-    if cache is None or cache is False:
-        return cache
-    if isinstance(cache, ResultCache):
-        return cache.root
-    return str(cache)
 
 
 def _protocol_fault_key(plan: "FaultPlan | None") -> dict:
@@ -91,44 +81,33 @@ def evaluate_session_point(payload: dict, point: tuple) -> dict:
     from repro.protocol.spec import SessionSpec
 
     spec = SessionSpec.from_dict(payload["session"])
-    token = payload.get("cache")
-    if token is None:
-        store = ResultCache.from_env()
-    elif isinstance(token, str):
-        store = ResultCache(token)
-    else:
-        store = token if isinstance(token, ResultCache) else None
     snr_db, sjr_db = point
     faults = FaultPlan.from_env()
-    key: dict[str, Any] | None = None
-    if store is not None:
-        key = {
-            "kind": "session-point",
-            "session": payload["session"],
+
+    def compute() -> dict:
+        stats = simulate_session(spec, float(snr_db), float(sjr_db), faults=faults)
+        return {
             "snr_db": float(snr_db),
             "sjr_db": float(sjr_db),
-            **_protocol_fault_key(faults),
+            "delivery_ratio": stats.delivery_ratio,
+            "goodput_bps": stats.goodput_bps,
+            "data_per": stats.data_per,
+            "data_tx": float(stats.data_tx),
+            "handshake_tx": float(stats.handshake_tx),
+            "desync_count": float(stats.desync_count),
+            "resync_count": float(stats.resync_count),
+            "mean_resync_latency": stats.mean_resync_latency,
+            "degraded": 1.0 if stats.degraded else 0.0,
         }
-        hit = store.get(key)
-        if isinstance(hit, dict):
-            return hit
-    stats = simulate_session(spec, float(snr_db), float(sjr_db), faults=faults)
-    record = {
+
+    key = {
+        "kind": "session-point",
+        "session": payload["session"],
         "snr_db": float(snr_db),
         "sjr_db": float(sjr_db),
-        "delivery_ratio": stats.delivery_ratio,
-        "goodput_bps": stats.goodput_bps,
-        "data_per": stats.data_per,
-        "data_tx": float(stats.data_tx),
-        "handshake_tx": float(stats.handshake_tx),
-        "desync_count": float(stats.desync_count),
-        "resync_count": float(stats.resync_count),
-        "mean_resync_latency": stats.mean_resync_latency,
-        "degraded": 1.0 if stats.degraded else 0.0,
+        **_protocol_fault_key(faults),
     }
-    if store is not None and key is not None:
-        store.put(key, record)
-    return record
+    return cached_record(payload.get("cache"), key, compute)
 
 
 def run_session(
@@ -150,60 +129,15 @@ def run_session(
     """
     from repro.analysis.sweep import SweepResult
 
-    ex = executor if executor is not None else ParallelExecutor.from_env()
     spec_dict = spec.to_dict()
-    payload = {"session": spec_dict, "cache": _cache_token(cache)}
-    points = list(spec.points())
-    total = len(points)
-    ckpt = make_checkpoint(checkpoint, stable_hash({"session": spec_dict}), total)
-    loaded: dict[int, Any] = {} if ckpt is None else ckpt.load()
-    pending = [i for i in range(total) if not isinstance(loaded.get(i), dict)]
-    records: list[dict[str, float] | None] = [
-        loaded[i] if i not in pending else None for i in range(total)
-    ]
-    seconds = [0.0] * total
-    wall = 0.0
-    workers = 1
-    retries = 0
-    if pending:
-        on_result: Callable[[int, object], None] | None = None
-        if ckpt is not None:
-            active = ckpt
-
-            def _persist(local_index: int, value: object) -> None:
-                active.record(pending[local_index], value)
-
-            on_result = _persist
-        try:
-            report = ex.map_spec(
-                evaluate_session_point,
-                payload,
-                [points[i] for i in pending],
-                on_result=on_result,
-            )
-        except BaseException:
-            # Keep whatever finished: an interrupted sweep resumes from here.
-            if ckpt is not None:
-                ckpt.flush()
-            raise
-        for index, value, secs in zip(pending, report.values, report.seconds):
-            records[index] = value
-            seconds[index] = secs
-        wall = report.wall_seconds
-        workers = report.workers
-        retries = report.retries
-    if ckpt is not None:
-        ckpt.complete()
-    result = SweepResult(columns=SESSION_COLUMNS)
-    for record in records:
-        assert record is not None  # every index is either loaded or pending
-        result.add(**record)
-    result.timing = SweepTiming(
-        wall_seconds=wall,
-        point_seconds=tuple(seconds),
-        workers=workers,
-        packets=spec.num_fragments() * total,
-        batch_size=resolve_batch(),
-        retries=retries,
+    records, timing = run_grid(
+        evaluate_session_point,
+        spec.points(),
+        key=stable_hash({"session": spec_dict}),
+        payload={"session": spec_dict},
+        executor=executor,
+        cache=cache,
+        checkpoint=checkpoint,
+        packets=spec.num_fragments(),
     )
-    return result
+    return SweepResult.from_records(SESSION_COLUMNS, records, timing)

@@ -1,4 +1,4 @@
-"""Parallel execution runtime: supervised pools, caching, checkpoints.
+"""Parallel execution runtime: one grid driver, supervised pools, caching, checkpoints.
 
 The sweep and link layers are embarrassingly parallel once every packet is
 seeded independently (``child_rng(seed, "packet", str(k))``): grid points
@@ -6,6 +6,13 @@ and packet chunks can be fanned out over a process pool and merged in
 deterministic order, producing *bit-identical* results to a serial run.
 This package provides the pieces the analysis layer threads through:
 
+``run_grid``
+    The one driver every grid run goes through (raw sweeps, scenarios,
+    networks, arenas, sessions): checkpoint load and resume, the
+    ordered executor map with incremental persistence, flush on
+    interrupt, the in-order merge and the ``SweepTiming``.  Each public
+    runner is a thin adapter that supplies its items, its module-level
+    point evaluator, its payload and its checkpoint key.
 ``ParallelExecutor``
     Ordered, fork-based ``map`` over a ``multiprocessing`` pool with a
     serial fallback (the default when ``REPRO_WORKERS`` is unset) —
@@ -16,10 +23,14 @@ This package provides the pieces the analysis layer threads through:
     taxonomy (``TaskTimeout`` / ``WorkerCrash`` / ``TaskError``).
 ``ResultCache``
     On-disk memoization of packet-batch statistics keyed by a stable hash
-    of (config fingerprint, operating point, seed, packet budget) —
-    enabled by ``REPRO_CACHE``.  Entries are checksummed; corrupt files
-    are quarantined and recomputed, and ``verify()``/``gc()`` audit and
-    clean a cache directory (surfaced as ``repro-bhss cache``).
+    of (config fingerprint, operating point, seed, packet budget).
+    ``resolve_cache`` is the one reading of every ``cache=`` argument
+    (``None`` → ``REPRO_CACHE``, ``False`` → off, ``True`` → default
+    directory, a path, or a store); ``cached_record`` is the
+    get → compute → put step of the per-point caches.  Entries are
+    checksummed; corrupt files are quarantined and recomputed, and
+    ``verify()``/``gc()`` audit and clean a cache directory (surfaced as
+    ``repro-bhss cache``).
 ``SweepCheckpoint``
     Periodic atomic JSON checkpoints of completed grid points, keyed by
     the sweep's canonical spec hash (``REPRO_CHECKPOINT``), enabling
@@ -38,7 +49,14 @@ This package provides the pieces the analysis layer threads through:
     ``repro-bhss bench --profile`` as the per-backend stage breakdown.
 """
 
-from repro.runtime.cache import CacheAudit, ResultCache, canonical, stable_hash
+from repro.runtime.cache import (
+    CacheAudit,
+    ResultCache,
+    cached_record,
+    canonical,
+    resolve_cache,
+    stable_hash,
+)
 from repro.runtime.checkpoint import SweepCheckpoint, make_checkpoint, resolve_checkpoint_dir
 from repro.runtime.errors import TaskError, TaskFailure, TaskTimeout, WorkerCrash
 from repro.runtime.executor import (
@@ -51,6 +69,7 @@ from repro.runtime.executor import (
     spec_runner_ref,
 )
 from repro.runtime.faults import FaultPlan, InjectedCrash, inject_faults
+from repro.runtime.grid import run_grid
 from repro.runtime.instrument import StageProfiler, StageRecord, SweepTiming
 
 __all__ = [
@@ -60,6 +79,9 @@ __all__ = [
     "StageRecord",
     "ResultCache",
     "CacheAudit",
+    "cached_record",
+    "resolve_cache",
+    "run_grid",
     "canonical",
     "stable_hash",
     "SweepCheckpoint",

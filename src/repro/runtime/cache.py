@@ -10,7 +10,9 @@ across processes, platforms and insertion orders.
 
 The cache is **opt-in**: it activates only when the ``REPRO_CACHE``
 environment variable is set — to ``1`` for the default location
-(``~/.cache/repro-bhss``) or to an explicit directory path.  Entries are
+(``~/.cache/repro-bhss``) or to an explicit directory path — or when a
+caller passes a ``cache`` argument, which :func:`resolve_cache` reads
+the same way for every layer.  Entries are
 JSON documents ``{"sha256": <hex>, "value": {...}}`` whose checksum covers
 the canonical encoding of the value, so a truncated, bit-flipped or
 half-written entry is *detected* rather than served:  a corrupt entry is
@@ -37,12 +39,20 @@ import json
 import os
 import tempfile
 import warnings
+from typing import Callable
 
 import numpy as np
 
 from repro.runtime.faults import FaultPlan
 
-__all__ = ["ResultCache", "CacheAudit", "canonical", "stable_hash"]
+__all__ = [
+    "ResultCache",
+    "CacheAudit",
+    "cached_record",
+    "canonical",
+    "resolve_cache",
+    "stable_hash",
+]
 
 _DEFAULT_ROOT = os.path.join("~", ".cache", "repro-bhss")
 _OFF_VALUES = {"", "0", "off", "no", "false"}
@@ -376,3 +386,41 @@ class ResultCache:
                     os.unlink(os.path.join(dirpath, name))
                     removed += 1
         return removed
+
+
+def resolve_cache(cache: "ResultCache | str | bool | None") -> ResultCache | None:
+    """The store a ``cache`` argument names, or ``None`` (caching off).
+
+    The one convention of every ``cache=`` parameter: ``None`` defers to
+    ``REPRO_CACHE``, ``False`` turns caching off, ``True`` selects the
+    default directory (as ``REPRO_CACHE=1`` does), a string is the cache
+    directory, and a :class:`ResultCache` is used as it is.
+    """
+    if cache is None:
+        return ResultCache.from_env()
+    if cache is False:
+        return None
+    if cache is True:
+        return ResultCache(_DEFAULT_ROOT)
+    if isinstance(cache, ResultCache):
+        return cache
+    return ResultCache(str(cache))
+
+
+def cached_record(
+    cache: "ResultCache | str | bool | None", key: dict, compute: Callable[[], dict]
+) -> dict:
+    """``compute()``, memoized under ``key`` in the store ``cache`` names.
+
+    A hit returns a fresh copy of the stored dict and never calls
+    ``compute``; a miss computes, stores and returns the record.
+    """
+    store = resolve_cache(cache)
+    if store is None:
+        return compute()
+    hit = store.get(key)
+    if isinstance(hit, dict):
+        return dict(hit)
+    record = compute()
+    store.put(key, record)
+    return record

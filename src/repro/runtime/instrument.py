@@ -117,8 +117,6 @@ class SweepTiming:
     packets:
         Total packets simulated, when the caller knows it (enables
         packets/sec reporting).
-    cache_hits:
-        Points served from the on-disk result cache.
     batch_size:
         Upper bound on packets per stacked call of the vectorized link
         path (``None`` when unknown; ``0``/``1`` mean the serial
@@ -132,7 +130,6 @@ class SweepTiming:
     point_seconds: tuple[float, ...]
     workers: int = 1
     packets: int | None = None
-    cache_hits: int = 0
     batch_size: int | None = None
     retries: int = 0
 
@@ -191,7 +188,6 @@ class SweepTiming:
             "utilization": self.utilization,
             "raw_utilization": self.raw_utilization,
             "points_per_second": self.points_per_second,
-            "cache_hits": self.cache_hits,
         }
         if self.packets is not None:
             out["packets"] = self.packets
@@ -214,8 +210,6 @@ class SweepTiming:
             parts.insert(1, f"{self.packets} packets ({self.packets_per_second:.1f} pkt/s)")
         if self.batch_size is not None:
             parts.append(f"batch {self.batch_size}" if self.batch_size > 1 else "serial packets")
-        if self.cache_hits:
-            parts.append(f"cache hits {self.cache_hits}/{self.num_points}")
         if self.retries:
             parts.append(f"retries {self.retries}")
         return "timing: " + ", ".join(parts)

@@ -15,6 +15,8 @@ from repro.runtime import (
     ResultCache,
     SweepTiming,
     canonical,
+    cached_record,
+    resolve_cache,
     resolve_workers,
     stable_hash,
 )
@@ -159,6 +161,70 @@ class TestResultCache:
         cache = ResultCache.from_env()
         assert cache is not None
         assert cache.root == str(tmp_path / "c")
+
+
+class TestResolveCache:
+    """One reading of every ``cache=`` argument, for every layer."""
+
+    def test_the_five_spellings(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        assert resolve_cache(None) is None
+        assert resolve_cache(False) is None
+        default = resolve_cache(True)
+        assert default is not None
+        assert default.root == str(tmp_path / ".cache" / "repro-bhss")
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        env = resolve_cache(None)
+        assert env is not None and env.root == default.root
+        store = ResultCache(str(tmp_path / "c"))
+        assert resolve_cache(store) is store
+        named = resolve_cache(str(tmp_path / "c"))
+        assert named is not None and named.root == store.root
+
+    def test_cached_record_computes_once(self, tmp_path):
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return {"v": len(calls)}
+
+        root = str(tmp_path / "c")
+        assert cached_record(root, {"k": 1}, compute) == {"v": 1}
+        assert cached_record(root, {"k": 1}, compute) == {"v": 1}
+        assert cached_record(False, {"k": 1}, compute) == {"v": 2}
+        assert len(calls) == 2
+
+    def test_run_packets_cache_true_uses_the_default_root(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        link = make_link()
+        stats = link.run_packets(2, snr_db=15.0, seed=1, cache=True)
+        assert stats.num_packets == 2
+        assert ResultCache(str(tmp_path / ".cache" / "repro-bhss")).verify().valid == 1
+        assert link.run_packets(2, snr_db=15.0, seed=1, cache=True) == stats
+
+    def test_run_scenario_cache_true_writes_no_true_directory(self, monkeypatch, tmp_path):
+        from repro.scenario import Scenario, run_scenario
+
+        home, cwd = tmp_path / "home", tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.chdir(cwd)
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        scenario = Scenario.from_dict(
+            {
+                "name": "cache-true",
+                "config": {"payload_bytes": 2, "seed": 3},
+                "jammer": {"type": "noise", "bandwidth": 5e6},
+                "grid": {"snr_db": [15.0], "sjr_db": [0.0]},
+                "packets": 2,
+            }
+        )
+        first = run_scenario(scenario, cache=True)
+        assert not (cwd / "True").exists()
+        assert ResultCache(str(home / ".cache" / "repro-bhss")).verify().valid == 1
+        assert run_scenario(scenario, cache=True).rows == first.rows
 
 
 class TestLinkParallelEquivalence:
@@ -351,11 +417,6 @@ class TestSweepTiming:
         t = SweepTiming(wall_seconds=1.0, point_seconds=(0.5,), workers=1)
         assert "batch_size" not in t.to_dict()
         assert "batch" not in t.summary()
-
-    def test_cache_hits_in_summary(self):
-        t = SweepTiming(wall_seconds=1.0, point_seconds=(0.1, 0.1), workers=1, cache_hits=1)
-        assert "cache hits 1/2" in t.summary()
-        assert t.to_dict()["cache_hits"] == 1
 
 
 class TestCacheIntegrity:
