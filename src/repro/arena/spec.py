@@ -46,6 +46,7 @@ from repro.hopping.bands import BandwidthSet
 from repro.hopping.patterns import PATTERN_NAMES
 from repro.jamming.base import Jammer
 from repro.jamming.registry import jammer_from_spec
+from repro.utils.validation import read_spec_file
 
 __all__ = ["ArenaError", "ArenaSpec", "NO_JAMMER"]
 
@@ -335,11 +336,4 @@ class ArenaSpec:
     @classmethod
     def load(cls, path: str) -> "ArenaSpec":
         """Read and validate an arena JSON file."""
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ArenaError(f"{path}: cannot read arena file ({exc})") from None
-        except ValueError as exc:
-            raise ArenaError(f"{path}: invalid JSON ({exc})") from None
-        return cls.from_dict(data, source=path)
+        return cls.from_dict(read_spec_file(path, "arena", ArenaError), source=path)

@@ -19,16 +19,6 @@ Installed as ``repro-bhss`` (see ``pyproject.toml``); also runnable as
     sidecar for external SDR tooling.
 ``theory``
     Evaluate the eq.-(11)/(12) improvement bound for one (Bp, Bj) pair.
-``bench``
-    Time the same packet workload through the serial and batched
-    (vectorized) link paths, verify bit-identical statistics, then time a
-    multi-point sweep serially and across the ``REPRO_WORKERS`` process
-    pool (also bit-checked; the payload records the *measured* pool
-    size).  ``--profile`` additionally runs the workload under every
-    registered DSP backend (``repro.backend``) with the stage profiler
-    on, emitting wall-seconds per DSP stage per backend.  Writes a BENCH
-    JSON (``BENCH_pr6.json`` by default); ``--quick`` is the CI smoke
-    mode.
 ``run``
     Execute a declarative scenario JSON file (``--scenario file.json``)
     over its (SNR x SJR) grid, an N-link shared-spectrum network file
@@ -59,7 +49,7 @@ Installed as ``repro-bhss`` (see ``pyproject.toml``); also runnable as
     knob docs, mutable defaults and the frozen mypy baseline.
 
 Exit-code convention, shared by every finding-producing subcommand
-(``lint``, ``scenario validate``, ``bench``, ``cache verify``): **0**
+(``lint``, ``scenario validate``, ``cache verify``): **0**
 clean, **1** findings or check failures, **2** usage/input errors (bad
 paths, unknown names).
 """
@@ -67,17 +57,13 @@ paths, unknown names).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.analysis import ThresholdSearch, min_snr_for_per, run_sweep
 from repro.arena import ArenaError, ArenaSpec, run_tournament
-from repro.backend import available_backends, resolve_backend, use_backend
 from repro.core import BHSSConfig, BHSSTransmitter, LinkSimulator, theory
 from repro.hopping import (
     expected_bandwidth,
@@ -97,7 +83,7 @@ from repro.network import NetworkError, NetworkSpec, run_network
 from repro.protocol import SessionError, SessionSpec, run_session
 from repro.runtime import resolve_cache
 from repro.scenario import Scenario, ScenarioError, run_scenario
-from repro.utils import format_table, save_recording
+from repro.utils import format_table, read_spec_file, save_recording
 
 __all__ = ["main", "build_parser"]
 
@@ -112,10 +98,6 @@ def _add_link_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="pre-shared link seed")
     parser.add_argument("--fec", default="none", help="channel code: none/rep3/rep5/hamming74/hamming1511")
     parser.add_argument("--no-filtering", action="store_true", help="disable the receiver's jammer filtering")
-    parser.add_argument(
-        "--backend", choices=list(available_backends()), default=None,
-        help="DSP compute backend (default: the REPRO_BACKEND knob, else numpy)",
-    )
 
 
 def _add_jammer_options(parser: argparse.ArgumentParser) -> None:
@@ -322,263 +304,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _bench_batched_link(args, config, link) -> tuple[dict, dict]:
-    """Time the same packet workload through the serial and batched paths.
-
-    Each run rebuilds its jammer from the CLI spec so stateful jammers
-    (sweepers, hoppers) start from the same state, making the two
-    :class:`LinkStats` comparable with plain ``==`` — the batched engine's
-    bit-for-bit contract is *checked*, not assumed, on every bench run.
-
-    Walls are the median of ``--repeats`` timed runs per path (after an
-    untimed warmup), so one scheduler hiccup does not decide the report.
-
-    Returns ``(report, stats_by_label)``: the JSON-able timing report and
-    the raw :class:`LinkStats` per path, so ``--profile`` can bit-compare
-    each backend's run against the serial reference.
-    """
-    import statistics
-    import time
-
-    batch = max(2, args.batch)
-    num_packets = args.batch_packets if args.batch_packets else (batch if args.quick else 2 * batch)
-    repeats = max(1, args.repeats)
-    snr_db = 0.5 * (args.snr_low + args.snr_high)
-    # Untimed warmup through both paths: fills the pulse/FFT-plan caches
-    # and the allocator so the timed runs measure steady state, not
-    # cold-process setup.
-    for size in (0, batch):
-        link.run_packets_batched(
-            min(4, num_packets), snr_db=snr_db, sjr_db=args.sjr,
-            jammer=_build_jammer(args, config), seed=args.run_seed,
-            batch_size=size, cache=False,
-        )
-    runs: dict[str, dict] = {}
-    stats_by_label = {}
-    for label, size in (("serial", 0), ("batched", batch)):
-        walls = []
-        for _ in range(repeats):
-            jammer = _build_jammer(args, config)
-            t0 = time.perf_counter()
-            stats = link.run_packets_batched(
-                num_packets, snr_db=snr_db, sjr_db=args.sjr, jammer=jammer,
-                seed=args.run_seed, batch_size=size, cache=False,
-            )
-            walls.append(time.perf_counter() - t0)
-            if label in stats_by_label and stats_by_label[label] != stats:
-                raise RuntimeError(f"{label} path is not deterministic across repeats")
-            stats_by_label[label] = stats
-        wall = statistics.median(walls)
-        runs[label] = {
-            "wall_seconds": wall,
-            "wall_seconds_all": walls,
-            "packets_per_second": num_packets / wall if wall > 0 else 0.0,
-        }
-    serial_wall = runs["serial"]["wall_seconds"]
-    batched_wall = runs["batched"]["wall_seconds"]
-    report = {
-        "num_packets": num_packets,
-        "batch_size": batch,
-        "repeats": repeats,
-        "snr_db": snr_db,
-        "sjr_db": args.sjr,
-        "serial": runs["serial"],
-        "batched": runs["batched"],
-        "speedup": serial_wall / batched_wall if batched_wall > 0 else 0.0,
-        "bit_identical": stats_by_label["serial"] == stats_by_label["batched"],
-    }
-    return report, stats_by_label
-
-
-def _profile_backends(args, config, link, batch_report, serial_stats) -> dict:
-    """Run the batched link workload under every backend with the profiler on.
-
-    Produces the per-stage, per-backend wall-second breakdown of
-    ``--profile``: each registered backend runs the *same* packet
-    workload as the link-engine bench (same jammer spec, seed, batch
-    size) inside a :func:`repro.backend.profile_stages` scope, so every
-    DSP kernel dispatch lands in a named stage bucket.  Bit-exact
-    backends are compared ``==`` against the serial reference stats
-    (``bit_identical``); accelerated backends get a decision-level
-    ``matches_oracle`` flag against the NumPy oracle run (their numeric
-    tolerance gate lives in ``tests/test_backend_conformance.py``).
-    """
-    import time
-
-    from repro.backend import backend_info, profile_stages, use_backend
-
-    num_packets = batch_report["num_packets"]
-    batch = batch_report["batch_size"]
-    snr_db = batch_report["snr_db"]
-    out: dict = {
-        "num_packets": num_packets,
-        "batch_size": batch,
-        "snr_db": snr_db,
-        "sjr_db": args.sjr,
-        "backends": {},
-    }
-    oracle_stats = None
-    # The NumPy oracle runs first so accelerated backends have a
-    # same-process reference to compare decisions against.
-    names = ["numpy"] + [n for n in available_backends() if n != "numpy"]
-    for name in names:
-        with use_backend(name) as backend:
-            jammer = _build_jammer(args, config)
-            with profile_stages() as prof:
-                t0 = time.perf_counter()
-                stats = link.run_packets_batched(
-                    num_packets, snr_db=snr_db, sjr_db=args.sjr, jammer=jammer,
-                    seed=args.run_seed, batch_size=batch, cache=False,
-                )
-                wall = time.perf_counter() - t0
-        entry = backend_info(backend)
-        entry["wall_seconds"] = wall
-        entry["stage_seconds"] = prof.to_dict()
-        if backend.bit_exact:
-            entry["bit_identical"] = stats == serial_stats
-            oracle_stats = stats
-        else:
-            entry["matches_oracle"] = oracle_stats is not None and stats == oracle_stats
-        out["backends"][name] = entry
-    return out
-
-
-def cmd_bench(args) -> int:
-    """Serial-vs-batched link timing plus the serial-vs-pool sweep check."""
-    from repro.runtime import ParallelExecutor, resolve_workers
-
-    config = _build_config(args)
-    link = LinkSimulator(config)
-
-    # -- part 1: the vectorized link engine vs the per-packet path ------------
-    batch_report, stats_by_label = _bench_batched_link(args, config, link)
-    rows = [
-        [
-            label,
-            f"{batch_report[label]['wall_seconds']:.2f}",
-            f"{batch_report[label]['packets_per_second']:.1f}",
-        ]
-        for label in ("serial", "batched")
-    ]
-    print(
-        format_table(
-            ["path", "wall (s)", "packets/s"],
-            rows,
-            title=(
-                f"link engine: {batch_report['num_packets']} packets, "
-                f"batch {batch_report['batch_size']}"
-            ),
-        )
-    )
-    print(f"batch speedup     : {batch_report['speedup']:.2f}x")
-    identical = batch_report["bit_identical"]
-    print(f"bit-identical     : {'yes' if identical else 'NO — batch/serial divergence'}")
-    if batch_report["speedup"] < 1.0:
-        print("warning: batched path slower than serial on this workload", file=sys.stderr)
-
-    payload = {"benchmark": "pr6-backend-bench", "batch": batch_report}
-
-    # -- part 2 (--profile): per-stage DSP breakdown for every backend --------
-    if args.profile:
-        profile = _profile_backends(args, config, link, batch_report, stats_by_label["serial"])
-        for name, entry in profile["backends"].items():
-            stages = entry["stage_seconds"]["stages"]
-            rows = [
-                [stage, f"{rec['seconds']:.3f}", str(rec["calls"])]
-                for stage, rec in stages.items()
-            ]
-            kernels = entry["kernels"]
-            title = (
-                f"backend {name}: {entry['wall_seconds']:.2f} s wall, "
-                f"fir={kernels['apply_fir']}"
-            )
-            print(format_table(["stage", "seconds", "calls"], rows, title=title))
-            if "bit_identical" in entry:
-                flag = "yes" if entry["bit_identical"] else "NO — oracle diverged from serial"
-                print(f"bit-identical     : {flag}")
-                identical = identical and entry["bit_identical"]
-            else:
-                print(f"matches oracle    : {'yes' if entry['matches_oracle'] else 'no'}")
-        payload["profile"] = profile
-
-    # -- part 3: serial vs worker-pool sweep (skipped by --quick) -------------
-    if not args.quick:
-        snrs = [float(s) for s in np.linspace(args.snr_low, args.snr_high, args.points)]
-        serial = ParallelExecutor(0)
-
-        def evaluate(snr_db: float) -> dict:
-            stats = link.run_packets(
-                args.packets, snr_db=snr_db, sjr_db=args.sjr,
-                jammer=_build_jammer(args, config), seed=args.run_seed,
-                executor=serial, cache=False,
-            )
-            return {"snr_db": snr_db, "per": stats.packet_error_rate, "ber": stats.bit_error_rate}
-
-        columns = ["snr_db", "per", "ber"]
-        # Pool-size resolution: --workers beats REPRO_WORKERS beats the CPU
-        # count — but the pool half of this comparison exists to measure the
-        # pool, so the CPU-count default is floored at 2.  (The old default
-        # collapsed to 1 on single-CPU runners, where ParallelExecutor
-        # silently takes the serial path: BENCH_pr3.json's "1.03x parallel
-        # speedup" was serial-vs-serial noise.)
-        if args.workers is not None:
-            requested = args.workers
-        else:
-            requested = resolve_workers() or max(2, os.cpu_count() or 1)
-        base = run_sweep(columns, snrs, evaluate, executor=serial)
-        pool = run_sweep(columns, snrs, evaluate, executor=ParallelExecutor(requested))
-        # The measured pool size, straight from the executor's MapReport —
-        # 1 means the "parallel" run actually took the serial path.
-        resolved = pool.timing.workers
-        pool_identical = base.rows == pool.rows
-        speedup = base.timing.wall_seconds / pool.timing.wall_seconds if pool.timing.wall_seconds > 0 else 0.0
-        packets = args.packets * len(snrs)
-
-        rows = []
-        for label, timing in [("serial", base.timing), (f"{resolved} workers", pool.timing)]:
-            pkt_rate = packets / timing.wall_seconds if timing.wall_seconds > 0 else 0.0
-            rows.append([
-                label,
-                f"{timing.wall_seconds:.2f}",
-                f"{timing.points_per_second:.2f}",
-                f"{pkt_rate:.1f}",
-                f"{100 * timing.utilization:.0f}%",
-            ])
-        print(
-            format_table(
-                ["run", "wall (s)", "points/s", "packets/s", "utilization"],
-                rows,
-                title=f"sweep benchmark: {len(snrs)} points x {args.packets} packets",
-            )
-        )
-        print(f"pool speedup      : {speedup:.2f}x ({resolved} workers, {requested} requested)")
-        print(f"bit-identical     : {'yes' if pool_identical else 'NO — determinism violation'}")
-        if resolved <= 1:
-            print(
-                "warning: the pool sweep ran on the serial path "
-                f"({requested} worker(s) requested) — the speedup above is not a "
-                "parallel measurement",
-                file=sys.stderr,
-            )
-        identical = identical and pool_identical
-        payload["sweep"] = {
-            "points": len(snrs),
-            "packets_per_point": args.packets,
-            "workers": resolved,
-            "workers_requested": requested,
-            "serial": base.timing.to_dict(),
-            "parallel": pool.timing.to_dict(),
-            "speedup": speedup,
-            "bit_identical": pool_identical,
-        }
-
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {args.output}")
-    return 0 if identical else 1
-
-
 def cmd_reproduce(args) -> int:
     from repro.analysis import SweepResult
     from repro.analysis.experiments import REGISTRY
@@ -778,13 +503,7 @@ def _load_spec(path: str, kind: SpecKind | None = None) -> tuple[SpecKind, Any]:
     scenario error when the kind is to be sniffed.
     """
     reader = kind or SPEC_KINDS["scenario"]
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise reader.error(f"{path}: cannot read {reader.noun} file ({exc})") from None
-    except ValueError as exc:
-        raise reader.error(f"{path}: invalid JSON ({exc})") from None
+    data = read_spec_file(path, reader.noun, reader.error)
     kind = kind or SPEC_KINDS[spec_kind(data)]
     return kind, kind.spec.from_dict(data, source=path)
 
@@ -1011,47 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--output", "-o", default=None, help="write result CSV(s) here")
     p_rep.set_defaults(func=cmd_reproduce)
 
-    p_bench = sub.add_parser("bench", help="time the batched link engine and the worker pool")
-    _add_link_options(p_bench)
-    _add_jammer_options(p_bench)
-    p_bench.add_argument("--points", type=int, default=8, help="grid points in the timed sweep")
-    p_bench.add_argument("--packets", type=int, default=6, help="packets per grid point")
-    p_bench.add_argument("--snr-low", type=float, default=0.0)
-    p_bench.add_argument("--snr-high", type=float, default=20.0)
-    p_bench.add_argument("--sjr", type=float, default=-10.0)
-    p_bench.add_argument(
-        "--workers", type=int, default=None,
-        help="pool size (default: REPRO_WORKERS, else CPU count floored at 2 so "
-        "the pool is actually exercised)",
-    )
-    p_bench.add_argument("--batch", type=int, default=64, help="packets per stacked link call")
-    p_bench.add_argument(
-        "--batch-packets", type=int, default=None,
-        help="packets in the link-engine comparison (default: 2x batch, 1x with --quick)",
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke mode: smaller link workload, skip the pool sweep",
-    )
-    p_bench.add_argument(
-        "--repeats", type=int, default=3,
-        help="timed runs per path; the median wall is reported",
-    )
-    p_bench.add_argument(
-        "--profile", action="store_true",
-        help="per-stage DSP timing breakdown under every compute backend",
-    )
-    p_bench.add_argument("--run-seed", type=int, default=0)
-    p_bench.add_argument("--output", "-o", default="BENCH_pr6.json", help="write the BENCH JSON here ('' disables)")
-    # Bench against the fast-hopping workload (one symbol per hop dwell,
-    # the paper-default linear hop distribution): it maximizes segments
-    # per packet, which is exactly the regime the batched segment-grouping
-    # engine exists for.  --pattern / --payload-bytes / --symbols-per-hop
-    # / --jammer still override as usual.
-    p_bench.set_defaults(
-        func=cmd_bench, pattern="linear", payload_bytes=8, symbols_per_hop=1, jammer="tone"
-    )
-
     p_run = sub.add_parser(
         "run",
         help="execute a declarative scenario, network, tournament, or session JSON file",
@@ -1129,20 +807,8 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    selection = getattr(args, "backend", None)
-    if selection is None:
-        try:
-            # Resolve the env knob up front so a typo'd REPRO_BACKEND is a
-            # clean usage error, not a mid-command traceback.
-            selection = resolve_backend()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
-        # --backend scopes to this command: repeated in-process main()
-        # calls (tests, notebooks) must not leak a selection.
-        with use_backend(selection):
-            return args.func(args)
+        return args.func(args)
     except BrokenPipeError:
         # output piped into e.g. `head` that exited early — not an error
         try:

@@ -12,11 +12,9 @@ top of ``numpy.fft`` (the simulation filters millions of samples per packet
 sweep, so direct convolution is not an option).
 
 The batch entry points (:func:`apply_fir_batch`, :func:`fft_convolve_batch`)
-validate and coerce their arguments here, then dispatch the numerics to the
-active :mod:`repro.backend` — the NumPy reference backend runs the
-``_*_reference`` bodies below (bit-identical to the serial twins), while
-accelerated backends may substitute their own tolerance-checked kernels.
-Serial :func:`apply_fir` runs the overlap-save reference body on one row.
+validate and coerce their arguments, then run the stacked NumPy kernels
+(bit-identical, row by row, to the serial twins).  Serial :func:`apply_fir`
+runs the same overlap-save kernel, :func:`_apply_fir_rows`, on one row.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import math
 
 import numpy as np
 
-from repro.backend import dispatch
 from repro.dsp.windows import WindowSpec, get_window
 from repro.utils.validation import as_complex_array, ensure_positive
 
@@ -231,7 +228,8 @@ def fft_convolve_batch(
             else x.astype(np.float64, copy=False)
         )
         return empty.copy()
-    nfft = _next_fast_len(n + h.shape[-1] - 1)
+    n_out = n + h.shape[-1] - 1
+    nfft = _next_fast_len(n_out)
     if taps_fft is not None:
         tf = np.asarray(taps_fft)
         if tf.ndim not in (1, 2):
@@ -246,18 +244,7 @@ def fft_convolve_batch(
                 f"convolution FFT length {nfft}"
             )
         taps_fft = tf
-    out: np.ndarray = dispatch("fft_convolve", "fft_convolve_batch", x, h, taps_fft)
-    return out
-
-
-def _fft_convolve_batch_reference(
-    x: np.ndarray, h: np.ndarray, taps_fft: np.ndarray | None
-) -> np.ndarray:
-    """The NumPy oracle kernel of :func:`fft_convolve_batch` (validated inputs)."""
-    rows = x.shape[0]
-    n_out = x.shape[1] + h.shape[-1] - 1
-    nfft = _next_fast_len(n_out)
-    if taps_fft is None:
+    else:
         taps_fft = np.fft.fft(h, nfft, axis=-1)
     complex_out = np.iscomplexobj(x) or np.iscomplexobj(h)
     out = np.empty((rows, n_out), dtype=np.complex128 if complex_out else np.float64)
@@ -304,14 +291,13 @@ def apply_fir_batch(
         return x.copy()
     if mode not in ("compensated", "same", "full"):
         raise ValueError(f"unknown mode {mode!r}; expected 'compensated', 'same', or 'full'")
-    out: np.ndarray = dispatch("apply_fir", "apply_fir_batch", x, h, mode, block_size)
-    return out
+    return _apply_fir_rows(x, h, mode, block_size)
 
 
-def _apply_fir_batch_reference(
+def _apply_fir_rows(
     x: np.ndarray, h: np.ndarray, mode: str, block_size: int | None
 ) -> np.ndarray:
-    """The NumPy oracle kernel of :func:`apply_fir_batch` (validated inputs)."""
+    """Overlap-save kernel of :func:`apply_fir_batch` and :func:`apply_fir` (validated inputs)."""
     rows, n = x.shape
     k = h.shape[-1]
     if block_size is None:
@@ -390,7 +376,7 @@ def apply_fir(signal: np.ndarray, taps: np.ndarray, mode: str = "compensated", b
         raise ValueError("taps must be a non-empty 1-D array")
     if x.size == 0:
         return x.copy()
-    out: np.ndarray = _apply_fir_batch_reference(x[None, :], h, mode, block_size)[0]
+    out: np.ndarray = _apply_fir_rows(x[None, :], h, mode, block_size)[0]
     return out
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import dispatch
 from repro.dsp.fir import FFT_CHUNK
 from repro.dsp.windows import WindowSpec, get_window
 from repro.utils.validation import as_complex_array, ensure_positive
@@ -74,9 +73,7 @@ def _segment_psd_average(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Average windowed periodograms over (possibly overlapping) segments."""
     x = as_complex_array(x)
-    freqs, psd = _welch_psd_batch_reference(
-        x[None, :], sample_rate, nperseg, noverlap, window, nfft
-    )
+    freqs, psd = _welch_psd_rows(x[None, :], sample_rate, nperseg, noverlap, window, nfft)
     return freqs, psd[0]
 
 
@@ -104,13 +101,10 @@ def welch_psd_batch(
     if not np.iscomplexobj(x):
         x = x.astype(float)
     x = x.astype(np.complex128, copy=False)
-    out: tuple[np.ndarray, np.ndarray] = dispatch(
-        "welch_psd", "welch_psd_batch", x, sample_rate, nperseg, noverlap, window, nfft
-    )
-    return out
+    return _welch_psd_rows(x, sample_rate, nperseg, noverlap, window, nfft)
 
 
-def _welch_psd_batch_reference(
+def _welch_psd_rows(
     x: np.ndarray,
     sample_rate: float,
     nperseg: int,
@@ -118,7 +112,7 @@ def _welch_psd_batch_reference(
     window: WindowSpec,
     nfft: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The NumPy oracle kernel of :func:`welch_psd_batch` (coerced input)."""
+    """Welch kernel of :func:`welch_psd_batch` and the serial estimators (coerced input)."""
     ensure_positive(sample_rate, "sample_rate")
     if noverlap is None:
         noverlap = int(nperseg) // 2

@@ -17,14 +17,6 @@ methods), so the manifest stays importable-as-data with zero import cost.
 Some pairs hold by construction: ``BHSSReceiver.receive`` is the
 one-capture case of ``BHSSReceiver.receive_batch``.  Their entries stay,
 so the twin keeps its place on the wall if it ever gains its own body.
-
-``BACKEND_KERNELS`` extends the wall through the pluggable compute
-backends (:mod:`repro.backend`): it maps every :class:`DSPBackend` kernel
-method to the public dispatching wrapper it serves.  The ``batch-manifest``
-rule checks both sides resolve *and* that every wrapper is itself a
-``BATCH_EQUIVALENCE`` key, so the chain *backend kernel -> wrapper ->
-serial twin* cannot silently break; the multi-backend conformance tests
-iterate it to compare every registered backend against the NumPy oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +24,7 @@ from __future__ import annotations
 import importlib
 from typing import Callable
 
-__all__ = ["BACKEND_KERNELS", "BATCH_EQUIVALENCE", "serial_twin", "resolve"]
+__all__ = ["BATCH_EQUIVALENCE", "serial_twin", "resolve"]
 
 #: batch primitive -> its bit-identical serial twin
 BATCH_EQUIVALENCE: dict[str, str] = {
@@ -55,21 +47,6 @@ BATCH_EQUIVALENCE: dict[str, str] = {
     "repro.phy.qpsk:ChipModulator.demodulate_batch": "repro.phy.qpsk:ChipModulator.demodulate",
     "repro.spread.dsss:SixteenAryDSSS.spread_batch": "repro.spread.dsss:SixteenAryDSSS.spread",
     "repro.spread.dsss:SixteenAryDSSS.despread_batch": "repro.spread.dsss:SixteenAryDSSS.despread",
-}
-
-
-#: DSPBackend kernel -> the dispatching public wrapper it serves.  Every
-#: value must itself be a ``BATCH_EQUIVALENCE`` key so the chain
-#: *backend kernel -> wrapper -> serial twin* stays closed.
-BACKEND_KERNELS: dict[str, str] = {
-    "repro.backend.base:DSPBackend.apply_fir_batch": "repro.dsp.fir:apply_fir_batch",
-    "repro.backend.base:DSPBackend.fft_convolve_batch": "repro.dsp.fir:fft_convolve_batch",
-    "repro.backend.base:DSPBackend.welch_psd_batch": "repro.dsp.spectral:welch_psd_batch",
-    "repro.backend.base:DSPBackend.modulate_batch": "repro.phy.qpsk:ChipModulator.modulate_batch",
-    "repro.backend.base:DSPBackend.spread_batch": "repro.spread.dsss:SixteenAryDSSS.spread_batch",
-    "repro.backend.base:DSPBackend.despread_batch": (
-        "repro.spread.dsss:SixteenAryDSSS.despread_batch"
-    ),
 }
 
 

@@ -73,23 +73,6 @@ class BatchManifestRule(Rule):
                         manifest_path, _manifest_line(manifest, batch_ref), 0, self.id,
                         f"{kind} reference {ref!r} does not resolve: {exc}",
                     )
-        for kernel_ref, wrapper_ref in manifest.BACKEND_KERNELS.items():
-            for ref, kind in ((kernel_ref, "backend kernel"), (wrapper_ref, "wrapper")):
-                try:
-                    manifest.resolve(ref)
-                except Exception as exc:
-                    yield Finding(
-                        manifest_path, _manifest_line(manifest, kernel_ref), 0, self.id,
-                        f"{kind} reference {ref!r} does not resolve: {exc}",
-                    )
-            # The chain backend kernel -> wrapper -> serial twin must stay
-            # closed: a dispatching wrapper outside the equivalence wall
-            # would leave the backend path untested against its serial twin.
-            if wrapper_ref not in manifest.BATCH_EQUIVALENCE:
-                yield Finding(
-                    manifest_path, _manifest_line(manifest, kernel_ref), 0, self.id,
-                    f"backend wrapper {wrapper_ref!r} has no BATCH_EQUIVALENCE entry",
-                )
 
 
 class RegistryRoundtripRule(Rule):

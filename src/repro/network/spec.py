@@ -41,6 +41,7 @@ from typing import Any
 from repro.core.config import BHSSConfig
 from repro.jamming.base import Jammer
 from repro.jamming.registry import jammer_from_spec
+from repro.utils.validation import read_spec_file
 
 __all__ = ["LinkSpec", "NetworkError", "NetworkSpec"]
 
@@ -399,11 +400,4 @@ class NetworkSpec:
     @classmethod
     def load(cls, path: str) -> "NetworkSpec":
         """Read and validate a network JSON file."""
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise NetworkError(f"{path}: cannot read network file ({exc})") from None
-        except ValueError as exc:
-            raise NetworkError(f"{path}: invalid JSON ({exc})") from None
-        return cls.from_dict(data, source=path)
+        return cls.from_dict(read_spec_file(path, "network", NetworkError), source=path)

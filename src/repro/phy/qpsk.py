@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import dispatch
 from repro.dsp.fir import convolve_nfft, fft_convolve, fft_convolve_batch
 from repro.dsp.pulse import PulseShape, get_pulse
 from repro.utils.validation import as_complex_array
@@ -140,16 +139,6 @@ class ChipModulator:
         rows, n = cplx.shape
         if rows == 0 or n == 0:
             return np.zeros((rows, n * sps), dtype=complex)
-        wave: np.ndarray = dispatch("modulate", "modulate_batch", self, cplx, sps)
-        return wave
-
-    def _shape_chips_batch(self, cplx: np.ndarray, sps: int) -> np.ndarray:
-        """Reference pulse-shaping core of :meth:`modulate_batch`.
-
-        ``cplx`` is the validated, non-empty ``(R, n)`` complex-chip stack;
-        this body is the NumPy oracle the backend layer dispatches to.
-        """
-        rows, n = cplx.shape
         p, trim = self._pulse_and_trim(sps)
         if p.size == sps:
             # Same non-overlapping fast path as the serial :meth:`modulate`

@@ -40,6 +40,7 @@ from repro.jamming.registry import jammer_from_spec
 from repro.protocol.hopseed import seed_generator_from_spec
 from repro.protocol.packetizer import HEADER_BYTES, MIN_MTU
 from repro.utils.rng import child_rng
+from repro.utils.validation import read_spec_file
 
 if TYPE_CHECKING:
     from repro.analysis.sweep import SweepResult
@@ -421,11 +422,4 @@ class SessionSpec:
     @classmethod
     def load(cls, path: str) -> "SessionSpec":
         """Read and validate a session JSON file."""
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise SessionError(f"{path}: cannot read session file ({exc})") from None
-        except ValueError as exc:
-            raise SessionError(f"{path}: invalid JSON ({exc})") from None
-        return cls.from_dict(data, source=path)
+        return cls.from_dict(read_spec_file(path, "session", SessionError), source=path)

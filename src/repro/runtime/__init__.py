@@ -41,12 +41,8 @@ This package provides the pieces the analysis layer threads through:
 ``SweepTiming``
     Lightweight instrumentation (per-point wall time, points/sec,
     packets/sec, worker utilization, recovered retries) attached to
-    sweep results and surfaced by the benchmark harness and the
-    ``repro-bhss bench`` subcommand.
-``StageProfiler``
-    Exclusive per-stage wall-time accumulator the backend dispatch layer
-    (:mod:`repro.backend`) records DSP kernel timings into; rendered by
-    ``repro-bhss bench --profile`` as the per-backend stage breakdown.
+    sweep results and surfaced by the benchmark harness and the CLI's
+    run summaries.
 """
 
 from repro.runtime.cache import (
@@ -70,13 +66,11 @@ from repro.runtime.executor import (
 )
 from repro.runtime.faults import FaultPlan, InjectedCrash, inject_faults
 from repro.runtime.grid import run_grid
-from repro.runtime.instrument import StageProfiler, StageRecord, SweepTiming
+from repro.runtime.instrument import SweepTiming
 
 __all__ = [
     "ParallelExecutor",
     "MapReport",
-    "StageProfiler",
-    "StageRecord",
     "ResultCache",
     "CacheAudit",
     "cached_record",

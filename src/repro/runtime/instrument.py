@@ -2,103 +2,15 @@
 
 A :class:`SweepTiming` is attached to every :class:`~repro.analysis.sweep.
 SweepResult` produced by ``run_sweep`` and rendered by the benchmark
-harness's ``save_and_print`` and the ``repro-bhss bench`` subcommand, so
-speedups (and regressions) are visible next to the tables they time.
-
-A :class:`StageProfiler` accumulates *exclusive* wall-seconds per named
-DSP stage.  The backend dispatch layer (:mod:`repro.backend`) opens one
-``profiler.stage(name)`` scope around every kernel call while a profiler
-is active, and ``repro-bhss bench --profile`` renders the result as the
-per-stage, per-backend breakdown in ``BENCH_pr6.json``.
+harness's ``save_and_print`` and the CLI's run summaries, so speedups
+(and regressions) are visible next to the tables they time.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
-__all__ = ["StageProfiler", "StageRecord", "SweepTiming"]
-
-
-@dataclass
-class StageRecord:
-    """Accumulated timing of one named stage.
-
-    Attributes
-    ----------
-    calls:
-        Number of times the stage was entered.
-    seconds:
-        Total *exclusive* wall time: time spent inside the stage minus
-        time spent in nested profiled stages (``modulate`` calling
-        ``fft_convolve`` does not double-count the convolution).
-    """
-
-    calls: int = 0
-    seconds: float = 0.0
-
-
-class StageProfiler:
-    """Accumulates exclusive wall-seconds per named stage.
-
-    Stages may nest (``modulate`` dispatches ``fft_convolve`` internally);
-    a stack of open scopes attributes each elapsed interval to exactly one
-    stage, so the per-stage seconds sum to the profiled wall time instead
-    of double-counting parents and children.  Not thread-safe — one
-    profiler instruments one single-threaded workload.
-    """
-
-    def __init__(self) -> None:
-        self._records: dict[str, StageRecord] = {}
-        self._stack: list[list[float]] = []  # [start, nested_seconds] frames
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Scope one stage invocation; nested scopes subtract their time."""
-        frame = [time.perf_counter(), 0.0]
-        self._stack.append(frame)
-        try:
-            yield
-        finally:
-            self._stack.pop()
-            elapsed = time.perf_counter() - frame[0]
-            record = self._records.setdefault(name, StageRecord())
-            record.calls += 1
-            record.seconds += elapsed - frame[1]
-            if self._stack:
-                self._stack[-1][1] += elapsed
-
-    @property
-    def records(self) -> dict[str, StageRecord]:
-        """Per-stage records, keyed by stage name."""
-        return dict(self._records)
-
-    @property
-    def total_seconds(self) -> float:
-        """Sum of exclusive seconds across all stages."""
-        return float(sum(r.seconds for r in self._records.values()))
-
-    def to_dict(self) -> dict:
-        """JSON-friendly breakdown, stages sorted by descending seconds."""
-        stages = {
-            name: {"calls": rec.calls, "seconds": rec.seconds}
-            for name, rec in sorted(
-                self._records.items(), key=lambda item: item[1].seconds, reverse=True
-            )
-        }
-        return {"stages": stages, "total_seconds": self.total_seconds}
-
-    def summary(self) -> str:
-        """One-line rendering: ``profile: fft_convolve 1.23s x840, ...``."""
-        parts = [
-            f"{name} {rec.seconds:.3f}s x{rec.calls}"
-            for name, rec in sorted(
-                self._records.items(), key=lambda item: item[1].seconds, reverse=True
-            )
-        ]
-        return "profile: " + (", ".join(parts) if parts else "no stages recorded")
+__all__ = ["SweepTiming"]
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ def evaluate_scenario_point(payload: dict, point: tuple) -> dict:
     call is a pure function of its arguments with no fork-inherited state.
     The cache sits at the link layer, keyed by the link's own batch key.
     """
-    from repro.backend import use_backend
     from repro.scenario.spec import Scenario
 
     scenario = Scenario.from_dict(payload["scenario"])
@@ -50,17 +49,14 @@ def evaluate_scenario_point(payload: dict, point: tuple) -> dict:
     snr_db, sjr_db = point
     # The vectorized path is bit-identical to the serial one per seed, so
     # scenarios always go through it; REPRO_BATCH=0 selects serial.
-    # The scenario's pinned backend (if any) rides in the spec payload, so
-    # pool workers apply the same selection as a serial run would.
-    with use_backend(scenario.backend):
-        stats = link.run_packets_batched(
-            scenario.packets,
-            snr_db=float(snr_db),
-            sjr_db=float(sjr_db),
-            jammer=jammer,
-            seed=scenario.seed,
-            cache=payload.get("cache"),
-        )
+    stats = link.run_packets_batched(
+        scenario.packets,
+        snr_db=float(snr_db),
+        sjr_db=float(sjr_db),
+        jammer=jammer,
+        seed=scenario.seed,
+        cache=payload.get("cache"),
+    )
     return {"snr_db": float(snr_db), "sjr_db": float(sjr_db), **stats.row()}
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
@@ -32,6 +33,7 @@ from repro.channel.registry import channel_from_spec, impairments_from_spec
 from repro.core.config import BHSSConfig
 from repro.jamming.base import Jammer
 from repro.jamming.registry import jammer_from_spec
+from repro.utils.validation import read_spec_file
 
 if TYPE_CHECKING:
     from repro.analysis.sweep import SweepResult
@@ -80,12 +82,6 @@ class Scenario:
     impairments:
         Optional front-end impairment spec
         (:meth:`~repro.channel.impairments.Impairments.to_dict` layout).
-    backend:
-        Optional DSP compute backend name (see :mod:`repro.backend`).
-        ``None`` (default) keeps whatever ``REPRO_BACKEND``/``--backend``
-        selected; a name pins this scenario's numerics to that backend —
-        pool workers rebuild the scenario from this spec, so the choice
-        reaches them too.
     description:
         Free-text note carried through the JSON file.
     """
@@ -99,7 +95,6 @@ class Scenario:
     seed: int = 0
     channel: dict | None = None
     impairments: dict | None = None
-    backend: str | None = None
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -115,14 +110,6 @@ class Scenario:
             raise ScenarioError("packets: must be an integer >= 1")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ScenarioError("seed: must be an integer")
-        if self.backend is not None:
-            from repro.backend import available_backends
-
-            if not isinstance(self.backend, str) or self.backend not in available_backends():
-                raise ScenarioError(
-                    f"backend: unknown backend {self.backend!r}; expected one of "
-                    f"{sorted(available_backends())}"
-                )
 
     # -- construction ---------------------------------------------------------
 
@@ -186,8 +173,6 @@ class Scenario:
             out["channel"] = self.channel
         if self.impairments is not None:
             out["impairments"] = self.impairments
-        if self.backend is not None:
-            out["backend"] = self.backend
         return out
 
     @classmethod
@@ -209,6 +194,19 @@ class Scenario:
             unknown = set(data) - known
             if unknown:
                 raise ScenarioError(f"unknown scenario field(s): {sorted(unknown)}")
+            if "backend" in data:
+                # Older files may pin "numpy", once the default compute
+                # backend and now the only DSP chain; nothing else loads.
+                if data["backend"] != "numpy":
+                    raise ScenarioError(
+                        f"backend: the field is no longer supported and only the "
+                        f"value 'numpy' is accepted, got {data['backend']!r}"
+                    )
+                warnings.warn(
+                    f"{prefix}scenario field 'backend' is deprecated and ignored",
+                    DeprecationWarning,
+                    stacklevel=2,
+                )
             if "name" not in data:
                 raise ScenarioError("name: field is required")
             grid = data.get("grid", {})
@@ -230,7 +228,6 @@ class Scenario:
                 "jammer": data.get("jammer", {"type": "none"}),
                 "channel": data.get("channel"),
                 "impairments": data.get("impairments"),
-                "backend": data.get("backend"),
                 "description": description,
             }
             if "snr_db" in grid:
@@ -260,11 +257,4 @@ class Scenario:
     @classmethod
     def load(cls, path: str) -> "Scenario":
         """Read and validate a scenario JSON file."""
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ScenarioError(f"{path}: cannot read scenario file ({exc})") from None
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: invalid JSON ({exc})") from None
-        return cls.from_dict(data, source=path)
+        return cls.from_dict(read_spec_file(path, "scenario", ScenarioError), source=path)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import dispatch
 from repro.spread.chiptables import CHIPS_PER_SYMBOL, NUM_SYMBOLS, chip_table_pm
 from repro.spread.pn import random_pn_sequence
 from repro.utils.rng import derive_seed
@@ -175,11 +174,6 @@ class SixteenAryDSSS:
             # chip table and scramble mask are float64, so the non-empty
             # output dtype is known without touching them.
             return np.zeros((0, syms.shape[1] * CHIPS_PER_SYMBOL), dtype=np.float64)
-        out: np.ndarray = dispatch("spread", "spread_batch", self, syms, start_chip)
-        return out
-
-    def _spread_batch_reference(self, syms: np.ndarray, start_chip) -> np.ndarray:
-        """Reference core of :meth:`spread_batch` (validated, non-empty input)."""
         chips = self._table[syms].reshape(syms.shape[0], -1)
         mask = self._scramble_slice_batch(start_chip, chips.shape[1], chips.shape[0])
         if mask is not None:
@@ -214,11 +208,6 @@ class SixteenAryDSSS:
                 scores=np.zeros((0, n_sym, NUM_SYMBOLS), dtype=np.float64),
                 quality=np.zeros((0, n_sym), dtype=np.float64),
             )
-        out: DespreadResult = dispatch("despread", "despread_batch", self, soft, start_chip)
-        return out
-
-    def _despread_batch_reference(self, soft: np.ndarray, start_chip) -> DespreadResult:
-        """Reference core of :meth:`despread_batch` (validated, non-empty input)."""
         mask = self._scramble_slice_batch(start_chip, soft.shape[1], soft.shape[0])
         if mask is not None:
             soft = soft * mask

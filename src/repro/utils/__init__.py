@@ -21,6 +21,7 @@ from repro.utils.validation import (
     ensure_positive,
     ensure_power_of_two,
     ensure_probability_vector,
+    read_spec_file,
 )
 from repro.utils.rng import child_rng, derive_seed, make_rng
 from repro.utils.ascii_plot import format_table, histogram_bar, line_plot
@@ -45,6 +46,7 @@ __all__ = [
     "ensure_probability_vector",
     "as_complex_array",
     "as_float_array",
+    "read_spec_file",
     "make_rng",
     "derive_seed",
     "child_rng",

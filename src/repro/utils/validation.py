@@ -8,6 +8,9 @@ deep inside a simulation run.
 
 from __future__ import annotations
 
+import json
+from typing import Any
+
 import numpy as np
 
 __all__ = [
@@ -19,6 +22,7 @@ __all__ = [
     "ensure_probability_vector",
     "as_complex_array",
     "as_float_array",
+    "read_spec_file",
 ]
 
 
@@ -92,3 +96,19 @@ def as_float_array(x, name: str = "values") -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     return arr
+
+
+def read_spec_file(path: str, noun: str, error: type[Exception]) -> Any:
+    """Parse the JSON spec file at ``path``.
+
+    A file that cannot be read raises ``error("<path>: cannot read <noun>
+    file (...)")``; one that is not JSON raises ``error("<path>: invalid
+    JSON (...)")``.  Every spec loader and the CLI read files through here.
+    """
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"{path}: cannot read {noun} file ({exc})") from None
+    except ValueError as exc:
+        raise error(f"{path}: invalid JSON ({exc})") from None

@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.cli import main
+from repro.cli import SPEC_KINDS, _load_spec, main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIO_DIR = os.path.join(REPO, "examples", "scenarios")
@@ -116,6 +116,30 @@ class TestScenarioValidateExitCodes:
         bad = tmp_path / "zbad.json"
         bad.write_text("{}")
         assert main(["scenario", "validate", str(tmp_path)]) == 1
+
+
+class TestSpecFileReader:
+    """Every spec kind reads its files through one reader, with one set of messages."""
+
+    @pytest.mark.parametrize("name", sorted(SPEC_KINDS))
+    def test_missing_file(self, tmp_path, name):
+        kind = SPEC_KINDS[name]
+        path = str(tmp_path / "missing.json")
+        message = f"missing.json: cannot read {kind.noun} file"
+        with pytest.raises(kind.error, match=message):
+            kind.spec.load(path)
+        with pytest.raises(kind.error, match=message):
+            _load_spec(path, kind)
+
+    @pytest.mark.parametrize("name", sorted(SPEC_KINDS))
+    def test_invalid_json(self, tmp_path, name):
+        kind = SPEC_KINDS[name]
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(kind.error, match="bad.json: invalid JSON"):
+            kind.spec.load(str(path))
+        with pytest.raises(kind.error, match="bad.json: invalid JSON"):
+            _load_spec(str(path), kind)
 
 
 class TestScenarioRunExitCodes:

@@ -132,7 +132,7 @@ class TestEnvKnobs:
         assert self.code_knobs() == {
             "REPRO_WORKERS", "REPRO_BATCH", "REPRO_CACHE", "REPRO_SCALE",
             "REPRO_TIMEOUT", "REPRO_RETRIES", "REPRO_CHECKPOINT", "REPRO_FAULTS",
-            "REPRO_BACKEND", "REPRO_SYNC_RETRIES", "REPRO_SYNC_TIMEOUT",
+            "REPRO_SYNC_RETRIES", "REPRO_SYNC_TIMEOUT",
         }
 
     def test_api_guide_documents_runtime_knobs(self):
