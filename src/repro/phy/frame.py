@@ -114,7 +114,12 @@ class FrameFormat:
 
         ``symbols`` must start at the frame boundary (the BHSS receiver
         knows the boundary from its synchronized schedule; an acquiring
-        receiver finds it with preamble detection first).  Parsing is
+        receiver finds it with preamble detection first) and hold exactly
+        one frame (receivers decode the symbol count of the payload length
+        they expect).  A length field that disagrees with that count is a
+        corrupted header: with the zero-initialised CRC a shortened length
+        can otherwise land on a valid CRC (payload ``00`` read as length 0
+        with CRC ``0000``) and deliver a truncated payload.  Parsing is
         forgiving: any structural mismatch (bad SFD, inconsistent length)
         is reported via flags rather than exceptions, because under
         jamming corrupted headers are the *expected* case.
@@ -126,7 +131,7 @@ class FrameFormat:
         header = nibbles_to_bytes(syms[pre : pre + 4])
         sfd_ok = header[0] == self.sfd
         length = header[1]
-        length_ok = length <= self.max_payload and syms.size >= self.frame_symbols(length)
+        length_ok = length <= self.max_payload and syms.size == self.frame_symbols(length)
         if not length_ok:
             return ParsedFrame(payload=b"", crc_ok=False, sfd_ok=sfd_ok, length_ok=False, length=length)
         start = pre + 4

@@ -305,6 +305,16 @@ class TestFrameFormat:
         parsed = fmt.parse(fmt.build(payload))
         assert parsed.accepted and parsed.payload == payload
 
+    def test_shortened_length_with_valid_crc_rejected(self):
+        # Length 1 -> 0 over payload 00 leaves the CRC bytes 00 00, the
+        # zero-initialised CRC of an empty payload: only the frame size
+        # the receiver decoded shows the header is wrong.
+        fmt = DEFAULT_FRAME_FORMAT
+        syms = fmt.build(b"\x00")
+        syms[10] ^= 1
+        parsed = fmt.parse(syms)
+        assert not parsed.length_ok and not parsed.accepted
+
     @given(st.binary(min_size=1, max_size=32), st.integers(min_value=0), st.integers(min_value=1, max_value=15))
     @settings(max_examples=30, deadline=None)
     def test_symbol_corruption_never_accepted_wrong(self, payload, pos, flip):
