@@ -13,10 +13,9 @@ scaled so the signal-to-noise ratio (SNR) is exact against the same
 reference.  Delays model propagation and — for the reactive jammer — the
 reaction time between sensing and jamming.
 
-:meth:`Medium.combine` is the classic single-jammer entry point;
-:meth:`Medium.superpose` is the general N-source form it delegates to.
-The two are bit-identical for one jammer source, which is what lets an
-N=1 network reproduce :meth:`LinkSimulator.run_packets` exactly.
+:meth:`Medium.combine` is the link-level entry point (extra sources,
+then one jammer); :meth:`Medium.superpose` is the general N-source form
+it delegates to, and the two are bit-identical for one jammer source.
 """
 
 from __future__ import annotations
@@ -230,11 +229,13 @@ class Medium:
         jammer_delay_samples: int = 0,
         rng=None,
         reference_power: float | None = None,
+        sources: "tuple[MediumSource, ...] | list[MediumSource]" = (),
     ) -> ReceivedBlock:
-        """Superpose signal, one jammer, and noise at calibrated ratios.
+        """Superpose signal, extra sources, one jammer, and noise at calibrated ratios.
 
-        The single-jammer special case of :meth:`superpose`, kept as the
-        link-level entry point; the two are bit-identical.
+        The single-jammer case of :meth:`superpose`, kept as the link-level
+        entry point; the two are bit-identical.  ``sources`` (a network
+        link's coupled neighbours) go before the jammer.
 
         Parameters
         ----------
@@ -258,11 +259,14 @@ class Medium:
             field-named ``ValueError`` whether or not a jammer is given.
         rng:
             Seed or Generator for the thermal noise.
+        sources:
+            :class:`MediumSource` entries superposed before the jammer,
+            as in :meth:`superpose`.
         """
         delay = _validate_delay(jammer_delay_samples, "jammer_delay_samples")
-        sources: tuple[MediumSource, ...] = ()
         if jammer is not None:
             sources = (
+                *sources,
                 MediumSource(
                     samples=as_complex_array(jammer, "jammer"),
                     power_db=-float(sjr_db),

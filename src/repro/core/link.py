@@ -16,12 +16,12 @@ batching, caching, and fan-out policy.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
 from repro.channel.impairments import Impairments
-from repro.channel.link_medium import Medium
+from repro.channel.link_medium import Medium, MediumSource
 from repro.core.config import BHSSConfig
 from repro.core.paths import PacketOutcome, RxPath, TxPath, draw_jammer_wave
 from repro.core.receiver import BHSSReceiver
@@ -35,6 +35,9 @@ __all__ = ["LinkSimulator", "PacketOutcome", "LinkStats"]
 #: ``(accepted, bit_errors, total_bits, filter usage)`` of a packet chunk.
 _Totals = tuple[int, int, int, dict[str, int]]
 
+#: Packet index -> extra medium sources of its capture (network neighbours).
+SourceHook = Callable[[int], list[MediumSource]]
+
 #: The waveform a packet keeps once its capture is drawn.
 _DROPPED = np.zeros(0, dtype=complex)
 
@@ -42,12 +45,6 @@ _DROPPED = np.zeros(0, dtype=complex)
 def _order_free(jammer: Jammer | None) -> bool:
     """Whether packets may run out of order (no stateful jammer)."""
     return jammer is None or not jammer.is_stateful
-
-
-def _outcome_totals(outcome: PacketOutcome) -> _Totals:
-    """One packet's outcome as chunk totals."""
-    usage = outcome.receive.filter_usage()
-    return int(outcome.accepted), outcome.bit_errors, outcome.total_bits, usage
 
 
 def _fold(parts: Iterable[_Totals]) -> _Totals:
@@ -260,8 +257,12 @@ class LinkSimulator:
         sjr_db: float,
         jammer: Jammer | None,
         jammer_delay_samples: int,
+        sources: "tuple[MediumSource, ...] | list[MediumSource]" = (),
     ) -> np.ndarray:
-        """Draw one packet's received samples: the jammer first, then the noise."""
+        """Draw one packet's received samples: the jammer first, then the noise.
+
+        ``sources`` go before the jammer and consume no randomness.
+        """
         tx_wave = self.tx_path.propagate(packet.waveform)
         jam_wave = draw_jammer_wave(jammer, packet, sjr_db, gen)
         return self.medium.combine(
@@ -271,11 +272,8 @@ class LinkSimulator:
             sjr_db=sjr_db,
             jammer_delay_samples=jammer_delay_samples,
             rng=gen,
+            sources=sources,
         ).samples
-
-    def _symbol_region_bit_errors(self, sent_symbols: np.ndarray, got_symbols: np.ndarray) -> int:
-        """Bit errors across the payload symbol region (nibble XOR popcount)."""
-        return self.rx_path.symbol_region_bit_errors(sent_symbols, got_symbols)
 
     # -- batches ---------------------------------------------------------------
 
@@ -297,9 +295,11 @@ class LinkSimulator:
         ``child_rng(seed, "packet", str(k))``, so the batch can be split
         into contiguous chunks and fanned out over ``executor`` (default:
         the ``REPRO_WORKERS``-configured pool; serial when unset) with
-        bit-identical aggregate statistics.  Stateful jammers (hoppers,
-        sweepers — see :attr:`Jammer.is_stateful`) must see packets in
-        order and therefore always run on the serial path.
+        bit-identical aggregate statistics.  Each chunk runs the stacked
+        driver of :meth:`run_packets_batched` under the ``REPRO_BATCH``
+        cap.  Stateful jammers (hoppers, sweepers — see
+        :attr:`Jammer.is_stateful`) must see packets in order and
+        therefore always run as one in-process chunk.
 
         With ``cache`` (read by :func:`~repro.runtime.cache.resolve_cache`:
         ``None`` is the ``REPRO_CACHE``-configured on-disk cache, disabled
@@ -310,6 +310,7 @@ class LinkSimulator:
         the environment (used by timing benchmarks).
         """
         ex = executor if executor is not None else ParallelExecutor.from_env()
+        batch = resolve_batch()
         point = dict(
             snr_db=snr_db, sjr_db=sjr_db, jammer=jammer, seed=seed, payload=payload,
             jammer_delay_samples=jammer_delay_samples,
@@ -318,9 +319,9 @@ class LinkSimulator:
         def parts() -> Iterator[_Totals]:
             if ex.parallel and _order_free(jammer) and num_packets >= 2:
                 bounds = self._chunk_bounds(num_packets, ex.workers)
-                yield from ex.map(lambda se: self._run_packet_chunk(*se, **point), bounds)
+                yield from ex.map(lambda se: _fold(self._run_chunk(*se, batch, point)), bounds)
             else:
-                yield self._run_packet_chunk(0, num_packets, **point)
+                yield from self._run_chunk(0, num_packets, batch, point)
 
         return self._stats(num_packets, point, cache, parts())
 
@@ -337,8 +338,8 @@ class LinkSimulator:
         """The on-disk cache key of a packet batch's aggregate statistics.
 
         Shared verbatim between :meth:`run_packets` and
-        :meth:`run_packets_batched` — the two paths are bit-identical, so
-        a result computed by either serves the other.
+        :meth:`run_packets_batched` — the two run the same driver, so a
+        result computed by either serves the other.
         """
         return {
             "kind": "LinkSimulator.run_packets",
@@ -399,20 +400,21 @@ class LinkSimulator:
         batch_size: int | None = None,
         cache: "ResultCache | str | bool | None" = None,
     ) -> LinkStats:
-        """Vectorized :meth:`run_packets`: stack packets, same statistics.
+        """In-process :meth:`run_packets` with an explicit packet cap: same statistics.
 
         Simulates one contiguous group of packets per stacked call: the
         group's captures fit one sample budget (see :meth:`_packet_groups`)
         and it holds at most ``batch_size`` packets (default: the
-        ``REPRO_BATCH``-configured cap, 64 when unset).  It returns
-        **bit-identical** :class:`LinkStats` to the serial path for every
-        ``(seed, operating point)``.  The contract that makes this exact:
+        ``REPRO_BATCH``-configured cap, 64 when unset; ``0`` and ``1``
+        both mean one).  The :class:`LinkStats` are **bit-identical**
+        under every cap, and equal the fold of :meth:`run_packet` over
+        the packets.  The contract that makes this exact:
 
-        * packet ``k`` draws from ``child_rng(seed, "packet", str(k))``
-          exactly as in :meth:`run_packets`, and everything that consumes
-          randomness — the jammer waveform, then the medium noise — runs
-          in a strictly ordered per-packet loop (this also preserves
-          stateful jammers' packet-order state evolution);
+        * packet ``k`` draws from ``child_rng(seed, "packet", str(k))``,
+          and everything that consumes randomness — the jammer waveform,
+          then the medium noise — runs in a strictly ordered per-packet
+          loop (this also preserves stateful jammers' packet-order state
+          evolution);
         * only the deterministic DSP (pulse shaping, filtering, matched
           filtering, despreading, spectral estimation) is stacked, through
           batch primitives whose rows are bit-identical to their serial
@@ -422,26 +424,36 @@ class LinkSimulator:
         working set is about one sample budget of captures plus one
         stacked DSP chunk, whatever ``batch_size`` or the packet length.
 
-        Batches share the serial path's result cache entries (same key),
-        so a warm cache serves either path.  Front-end impairments apply
-        per packet and switch the stacked receiver to phase tracking;
-        ``batch_size <= 1`` falls back to :meth:`run_packets`.
+        The result cache entries are :meth:`run_packets`'s.  Front-end
+        impairments apply per packet and switch the stacked receiver to
+        phase tracking.
         """
-        batch = resolve_batch() if batch_size is None else max(0, int(batch_size))
+        batch = resolve_batch() if batch_size is None else int(batch_size)
         point = dict(
             snr_db=snr_db, sjr_db=sjr_db, jammer=jammer, seed=seed, payload=payload,
             jammer_delay_samples=jammer_delay_samples,
         )
-        if batch <= 1:
-            return self.run_packets(num_packets, cache=cache, **point)
-        groups = self._packet_groups(num_packets, payload, batch)
-        parts = (self._run_batch(indices, **point) for indices in groups)
-        return self._stats(num_packets, point, cache, parts)
+        return self._stats(num_packets, point, cache, self._run_chunk(0, num_packets, batch, point))
+
+    def _run_chunk(
+        self,
+        start: int,
+        stop: int,
+        batch: int,
+        point: dict[str, Any],
+        sources: SourceHook | None = None,
+    ) -> Iterator[_Totals]:
+        """Totals of packets ``start..stop-1``, one per planned group, lazily.
+
+        The one multi-packet loop of links and network links alike.
+        """
+        for indices in self._packet_groups(stop, point["payload"], batch, start):
+            yield self._run_batch(indices, **point, sources=sources)
 
     def _packet_groups(
-        self, num_packets: int, payload: bytes | None, batch: int
+        self, stop: int, payload: bytes | None, batch: int, start: int = 0
     ) -> Iterator[range]:
-        """Contiguous packet ranges, in order, one per stacked call.
+        """Contiguous ranges of packets ``start..stop-1``, in order, one per stacked call.
 
         Capture lengths come from the hop plan, so nothing is synthesized
         here.  Groups are planned lazily, so a cache hit draws no hop plan;
@@ -449,8 +461,8 @@ class LinkSimulator:
         """
         tx = self.transmitter
         num_air = self.config.air_symbols(None if payload is None else len(payload))
-        lengths = (sum(tx.hop_plan(num_air, k)[1]) for k in range(num_packets))
-        return budget_groups(lengths, batch)
+        lengths = (sum(tx.hop_plan(num_air, k)[1]) for k in range(start, stop))
+        return budget_groups(lengths, batch, start)
 
     def _run_batch(
         self,
@@ -461,6 +473,7 @@ class LinkSimulator:
         seed: int,
         payload: bytes | None,
         jammer_delay_samples: int,
+        sources: SourceHook | None = None,
     ) -> _Totals:
         """Aggregate packets ``indices`` (one planned group) through the stacked link.
 
@@ -473,7 +486,10 @@ class LinkSimulator:
         received: list[np.ndarray] = []
         for p, k in enumerate(indices):
             gen = child_rng(seed, "packet", str(k))
-            samples = self._capture(packets[p], gen, snr_db, sjr_db, jammer, jammer_delay_samples)
+            extra = () if sources is None else sources(k)
+            samples = self._capture(
+                packets[p], gen, snr_db, sjr_db, jammer, jammer_delay_samples, extra
+            )
             received.append(self.rx_path.front_end(samples))
             packets[p] = replace(packets[p], waveform=_DROPPED)
         results = self.receiver.receive_batch(
@@ -483,8 +499,8 @@ class LinkSimulator:
             phase_track=self.rx_path.needs_phase_tracking,
         )
         return _fold(
-            _outcome_totals(self.rx_path.score(packet, result))
-            for packet, result in zip(packets, results)
+            (int(o.accepted), o.bit_errors, o.total_bits, o.receive.filter_usage())
+            for o in map(self.rx_path.score, packets, results)
         )
 
     @staticmethod
@@ -498,33 +514,6 @@ class LinkSimulator:
         target = max(1, min(num_packets, 4 * workers))
         edges = np.linspace(0, num_packets, target + 1).astype(int)
         return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-
-    def _run_packet_chunk(
-        self,
-        start: int,
-        stop: int,
-        snr_db: float,
-        sjr_db: float,
-        jammer: Jammer | None,
-        seed: int,
-        payload: bytes | None,
-        jammer_delay_samples: int,
-    ) -> _Totals:
-        """Aggregate packets ``start..stop-1``; the serial inner loop."""
-        return _fold(
-            _outcome_totals(
-                self.run_packet(
-                    snr_db=snr_db,
-                    sjr_db=sjr_db,
-                    jammer=jammer,
-                    packet_index=k,
-                    rng=child_rng(seed, "packet", str(k)),
-                    payload=payload,
-                    jammer_delay_samples=jammer_delay_samples,
-                )
-            )
-            for k in range(start, stop)
-        )
 
     def data_rate_bps(self) -> float:
         """Average payload data rate of the configured link in bits/second.

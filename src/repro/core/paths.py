@@ -19,8 +19,8 @@ The per-packet RNG contract lives *between* the paths and is unchanged:
 packet ``k`` draws from ``child_rng(seed, "packet", str(k))``, the
 jammer waveform is drawn first (even at ``sjr_db=+inf``, where it is not
 injected), then the medium noise.  :func:`draw_jammer_wave` packages
-that draw so the serial, batched, and network drivers share one
-implementation.
+that draw so the link's packet driver (which network links also run)
+and the session slot loop share one implementation.
 """
 
 from __future__ import annotations
@@ -216,14 +216,14 @@ def draw_jammer_wave(
 ) -> np.ndarray | None:
     """Draw the jammer's waveform for one packet, or ``None`` if not injected.
 
-    This is the shared RNG-contract helper of every driver (serial,
-    batched, network): a sensing jammer (reactive matched, or any
-    :class:`~repro.jamming.adaptive.base.VictimAwareJammer`) observes the
-    packet first, and the waveform is drawn even at ``sjr_db=+inf``,
-    where it is not injected — the draw keeps the shared RNG stream (and
-    any jammer-internal state) advancing exactly as in a finite-SJR run,
-    so an SJR sweep that includes inf as its unjammed baseline sees the
-    same noise realization at every point.
+    This is the shared RNG-contract helper of every driver (link packet
+    groups, single packets, session slots): a sensing jammer (reactive
+    matched, or any :class:`~repro.jamming.adaptive.base.VictimAwareJammer`)
+    observes the packet first, and the waveform is drawn even at
+    ``sjr_db=+inf``, where it is not injected — the draw keeps the shared
+    RNG stream (and any jammer-internal state) advancing exactly as in a
+    finite-SJR run, so an SJR sweep that includes inf as its unjammed
+    baseline sees the same noise realization at every point.
     """
     if jammer is None or isinstance(jammer, NoJammer):
         return None

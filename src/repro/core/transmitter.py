@@ -38,14 +38,17 @@ def row_chunks(members: list[T], segment_samples: int) -> list[list[T]]:
     return [members[i : i + rows] for i in range(0, len(members), rows)]
 
 
-def budget_groups(lengths: Iterable[int], max_rows: int) -> Iterator[range]:
+def budget_groups(lengths: Iterable[int], max_rows: int, first: int = 0) -> Iterator[range]:
     """Contiguous index ranges over ``lengths``, in order, one per stacked call.
 
     A range takes rows while their lengths sum to at most
-    :data:`CHUNK_SAMPLES`, up to ``max_rows`` rows; a row longer than the
-    budget forms a range of its own.
+    :data:`CHUNK_SAMPLES`, up to ``max_rows`` rows (a cap below 1 counts
+    as 1); a row longer than the budget forms a range of its own.  Indices
+    count from ``first``.
     """
-    start = stop = filled = 0
+    max_rows = max(1, max_rows)
+    start = stop = first
+    filled = 0
     for length in lengths:
         if stop > start and (stop - start == max_rows or filled + length > CHUNK_SAMPLES):
             yield range(start, stop)

@@ -15,8 +15,9 @@ Keys and values are ``"module:Qual.name"`` strings (class-qualified for
 methods), so the manifest stays importable-as-data with zero import cost.
 
 Some pairs hold by construction: ``BHSSReceiver.receive`` is the
-one-capture case of ``BHSSReceiver.receive_batch``.  Their entries stay,
-so the twin keeps its place on the wall if it ever gains its own body.
+one-capture case of ``BHSSReceiver.receive_batch``, and the two link
+runs share one packet driver.  Their entries stay, so the twin keeps its
+place on the wall if it ever gains its own body.
 """
 
 from __future__ import annotations

@@ -2,28 +2,25 @@
 
 Each link's receiver sees the superposition of its own transmission,
 the coupled neighbours' transmissions, its personal jammer, and thermal
-noise — all through :meth:`Medium.superpose`, calibrated against the
-link's own nominal signal power.
-
-The bit-identity contract (the hard equivalence wall of the network
-subsystem, gated by ``tests/test_network.py``): packet ``k`` of link
-``i`` draws from ``child_rng(links[i].seed, "packet", str(k))``, the
-jammer waveform is drawn first, then the medium noise — exactly
-:meth:`LinkSimulator.run_packets`'s contract.  Cross-link interference
-is purely deterministic (TX synthesis consumes no randomness) and is
-superposed *before* the jammer in a float-addition order that collapses
-to the classic signal + jammer + noise sum when a link has no coupled
-neighbours.  An N=1 network therefore reproduces
-``LinkSimulator.run_packets`` bit-identically at every seed.
+noise, calibrated against the link's own nominal signal power.  A link
+runs :meth:`LinkSimulator.run_packets`'s packet driver with the
+neighbours' packets as extra medium sources, superposed before the
+jammer; they are re-synthesized deterministically and consume no
+randomness.  An N=1 network is therefore ``LinkSimulator.run_packets``
+at every seed (the equivalence wall of ``tests/test_network.py``).
 """
 
 from __future__ import annotations
 
-from repro.channel.link_medium import Medium, MediumSource
-from repro.core.link import LinkStats
-from repro.core.paths import RxPath, TxPath, draw_jammer_wave
+from repro.channel.link_medium import MediumSource
+from repro.core.link import LinkSimulator, LinkStats
+
+# ``draw_jammer_wave`` and ``child_rng`` are re-exported: ``bench/tracing.py``
+# attributes the jammer draw and the RNG through this module's names for them.
+from repro.core.paths import TxPath, draw_jammer_wave  # noqa: F401
 from repro.network.spec import NetworkSpec
-from repro.utils.rng import child_rng
+from repro.runtime import resolve_batch
+from repro.utils.rng import child_rng  # noqa: F401
 
 __all__ = ["NetworkSimulator"]
 
@@ -40,8 +37,7 @@ class NetworkSimulator:
 
     def __init__(self, spec: NetworkSpec) -> None:
         self.spec = spec
-        # One TxPath per link, shared between the "own signal" and
-        # "interference at a neighbour" roles — synthesis is stateless.
+        # Each link's packets as interference at its neighbours.
         self._tx_paths = tuple(TxPath(link.config) for link in spec.links)
 
     def run_link(self, index: int) -> LinkStats:
@@ -49,22 +45,12 @@ class NetworkSimulator:
         if not 0 <= index < self.spec.num_links:
             raise IndexError(f"link index {index} out of range (network has {self.spec.num_links})")
         link = self.spec.links[index]
-        tx = self._tx_paths[index]
-        rx = RxPath(link.config)
-        medium = Medium(link.config.sample_rate)
-        jammer = link.build_jammer()
         peers = self.spec.interferers(index)
         coupling = self.spec.coupling_db
 
-        accepted = 0
-        bit_errors = 0
-        total_bits = 0
-        usage: dict[str, int] = {}
-        for k in range(self.spec.packets):
-            gen = child_rng(link.seed, "packet", str(k))
-            packet, tx_wave = tx.emit(k)
-            jam_wave = draw_jammer_wave(jammer, packet, link.sjr_db, gen)
-            sources: list[MediumSource] = []
+        def interference(k: int) -> list[MediumSource]:
+            """Packet ``k`` of every coupled neighbour, at its coupling power."""
+            sources = []
             for j in peers:
                 assert coupling is not None  # peers is empty otherwise
                 power_db = coupling[index][j]
@@ -75,37 +61,14 @@ class NetworkSimulator:
                         power_db=power_db,
                         delay_samples=self.spec.cross_delay(index, j),
                         label=f"links[{j}]",
-                        kind="interference",
                     )
                 )
-            if jam_wave is not None:
-                sources.append(
-                    MediumSource(
-                        samples=jam_wave,
-                        power_db=-float(link.sjr_db),
-                        delay_samples=link.jammer_delay_samples,
-                        label="jammer",
-                        kind="jammer",
-                    )
-                )
-            block = medium.superpose(
-                tx_wave, snr_db=link.snr_db, sources=sources, rng=gen
-            )
-            outcome = rx.receive_packet(packet, block.samples, k)
-            accepted += int(outcome.accepted)
-            bit_errors += outcome.bit_errors
-            total_bits += outcome.total_bits
-            for kind, count in outcome.receive.filter_usage().items():
-                usage[kind] = usage.get(kind, 0) + count
-        return LinkStats(
-            num_packets=self.spec.packets,
-            num_accepted=accepted,
-            total_bits=total_bits,
-            bit_errors=bit_errors,
-            data_rate_bps=tx.data_rate_bps(),
-            filter_usage=usage,
-        )
+            return sources
 
-    def run(self) -> list[LinkStats]:
-        """Simulate every link serially, in link order."""
-        return [self.run_link(i) for i in range(self.spec.num_links)]
+        sim = LinkSimulator(link.config)
+        point = dict(
+            snr_db=link.snr_db, sjr_db=link.sjr_db, jammer=link.build_jammer(), seed=link.seed,
+            payload=None, jammer_delay_samples=link.jammer_delay_samples,
+        )
+        parts = sim._run_chunk(0, self.spec.packets, resolve_batch(), point, interference)
+        return sim._stats(self.spec.packets, point, False, parts)

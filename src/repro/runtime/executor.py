@@ -191,11 +191,10 @@ def resolve_batch(env: str = "REPRO_BATCH") -> int:
     The size is an upper bound on packets per vectorized link call:
     ``REPRO_BATCH=128`` stacks at most 128 packets per call, fewer when
     their captures would exceed the link's sample budget.
-    ``REPRO_BATCH=0`` (or ``1``) disables batching and selects the serial
-    per-packet path.  Unset means the default batch of ``DEFAULT_BATCH``
-    packets — the batched path is bit-identical to the serial one, so it
-    is safe to prefer it everywhere.  Negative or non-integer values
-    raise ``ValueError`` naming the variable.
+    ``REPRO_BATCH=0`` and ``1`` both mean one packet per stacked call, on
+    the same driver.  Unset means the default cap of ``DEFAULT_BATCH``
+    packets — results are bit-identical under every cap.  Negative or
+    non-integer values raise ``ValueError`` naming the variable.
     """
     raw = os.environ.get(env)
     if raw is None or raw.strip() == "":

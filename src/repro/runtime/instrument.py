@@ -30,9 +30,8 @@ class SweepTiming:
         Total packets simulated, when the caller knows it (enables
         packets/sec reporting).
     batch_size:
-        Upper bound on packets per stacked call of the vectorized link
-        path (``None`` when unknown; ``0``/``1`` mean the serial
-        per-packet path).
+        Upper bound on packets per stacked call of the link (``None``
+        when unknown; ``0`` and ``1`` both mean one packet per call).
     retries:
         Task attempts beyond the first that the supervisor recovered
         (injected or real crashes, hangs and task errors).
@@ -121,7 +120,7 @@ class SweepTiming:
         if self.packets is not None:
             parts.insert(1, f"{self.packets} packets ({self.packets_per_second:.1f} pkt/s)")
         if self.batch_size is not None:
-            parts.append(f"batch {self.batch_size}" if self.batch_size > 1 else "serial packets")
+            parts.append(f"batch {max(1, self.batch_size)}")
         if self.retries:
             parts.append(f"retries {self.retries}")
         return "timing: " + ", ".join(parts)

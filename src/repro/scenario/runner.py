@@ -47,8 +47,8 @@ def evaluate_scenario_point(payload: dict, point: tuple) -> dict:
     scenario = Scenario.from_dict(payload["scenario"])
     link, jammer = scenario.build()
     snr_db, sjr_db = point
-    # The vectorized path is bit-identical to the serial one per seed, so
-    # scenarios always go through it; REPRO_BATCH=0 selects serial.
+    # In-process, under the REPRO_BATCH packet cap: the pool fans out grid
+    # points, not the packets of one point.
     stats = link.run_packets_batched(
         scenario.packets,
         snr_db=float(snr_db),

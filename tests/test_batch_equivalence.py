@@ -1,20 +1,26 @@
 """The batch == serial equivalence wall.
 
-The batched link engine's contract is *bit-for-bit* equality with the
-serial per-packet path for every (seed, operating point): same accepted
-counts, same bit errors, same filter-usage histogram, same decoded bits.
-These tests sweep that contract across the full registry surface — every
-registered jammer type, every channel spec, every hop pattern — for
-multiple seeds, plus the truncated-capture edge case, so a batch-path
-regression cannot hide behind a favourable configuration.
+The batched link engine's contract is *bit-for-bit* equality whatever
+the packets-per-call cap, down to one packet per stacked call, and with
+the fold of single-packet :meth:`LinkSimulator.run_packet` runs, for
+every (seed, operating point): same accepted counts, same bit errors,
+same filter-usage histogram, same decoded bits.  These tests sweep that
+contract across the full registry surface — every registered jammer
+type, every channel spec, every hop pattern — for multiple seeds, plus
+the truncated-capture edge case, so a batch-path regression cannot hide
+behind a favourable configuration.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.core import BHSSConfig, LinkSimulator, transmitter
+from repro.core import BHSSConfig, LinkSimulator, LinkStats, transmitter
 from repro.jamming.registry import jammer_from_spec, jammer_names
+from repro.runtime import ParallelExecutor
 from repro.scenario.spec import channel_from_spec
+from repro.utils.rng import child_rng
 
 FS = 20e6  # matches BHSSConfig.paper_default
 
@@ -90,7 +96,7 @@ def small_config(pattern="linear", **overrides):
 
 
 def stats_pair(config, jammer_spec, seed, *, channel_spec=None, num_packets=5, batch_size=2):
-    """Run the same workload serial and batched; fresh jammers per path.
+    """Run the same workload one packet per call and batched; fresh jammers per path.
 
     ``batch_size=2`` with ``num_packets=5`` forces multiple chunks plus a
     ragged tail, so the chunk boundaries themselves are exercised.
@@ -220,8 +226,8 @@ class TestBatchSizeInvariance:
         assert serial == batched
 
     @staticmethod
-    def _stacked_run(link):
-        """Seven packets under a cap of seven.
+    def _stacked_run(link, batch_size=7):
+        """Seven packets under a cap of ``batch_size`` (seven by default).
 
         Returns the stacked rows per spread/despread call and the captures
         per ``receive_batch`` call.
@@ -253,10 +259,23 @@ class TestBatchSizeInvariance:
             sjr_db=-5.0,
             jammer=jammer_from_spec(JAMMER_SPECS["noise"]),
             seed=0,
-            batch_size=7,
+            batch_size=batch_size,
             cache=False,
         )
         return waves, stats, rows, captures
+
+    @pytest.mark.parametrize("cap", ["0", "1"])
+    def test_cap_below_two_stacks_one_capture(self, monkeypatch, cap):
+        # REPRO_BATCH=0 and 1 run the same driver as any other cap, one
+        # packet per receive_batch call; a cap below 1 never means unbounded.
+        assert list(transmitter.budget_groups([10] * 5, int(cap))) == [
+            range(k, k + 1) for k in range(5)
+        ]
+        _, default_stats, _, _ = self._stacked_run(LinkSimulator(small_config()))
+        monkeypatch.setenv("REPRO_BATCH", cap)
+        _, stats, _, captures = self._stacked_run(LinkSimulator(small_config()), None)
+        assert stats == default_stats
+        assert captures == [1] * 7
 
     @pytest.mark.parametrize("budget", [1, 1 << 40])
     def test_sample_budget_does_not_change_outputs(self, monkeypatch, budget):
@@ -276,6 +295,50 @@ class TestBatchSizeInvariance:
             else:
                 assert max(side_rows) > 1  # whole segment groups were stacked
         assert captures == ([1] * 7 if budget == 1 else [7])
+
+
+class TestSinglePacketReference:
+    """``run_packets``, serial or pooled, is the fold of ``run_packet`` over the packets.
+
+    ``run_packet`` synthesizes, captures and receives one packet on its
+    own, so it is a reference independent of the stacked driver's group
+    planning and chunk fan-out.
+    """
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("jammer_name", ["noise", "follower"])  # memoryless, stateful
+    def test_run_packets_equals_run_packet_fold(self, jammer_name, workers):
+        config, seed, num_packets = small_config(), 3, 6
+        link = LinkSimulator(config)
+        jammer = jammer_from_spec(JAMMER_SPECS[jammer_name])
+        outcomes = [
+            link.run_packet(
+                8.0, -10.0, jammer, packet_index=k, rng=child_rng(seed, "packet", str(k))
+            )
+            for k in range(num_packets)
+        ]
+        usage = Counter()
+        for outcome in outcomes:
+            usage.update(outcome.receive.filter_usage())
+        reference = LinkStats(
+            num_packets=num_packets,
+            num_accepted=sum(outcome.accepted for outcome in outcomes),
+            total_bits=sum(outcome.total_bits for outcome in outcomes),
+            bit_errors=sum(outcome.bit_errors for outcome in outcomes),
+            data_rate_bps=link.data_rate_bps(),
+            filter_usage=dict(usage),
+        )
+        stats = LinkSimulator(config).run_packets(
+            num_packets,
+            snr_db=8.0,
+            sjr_db=-10.0,
+            jammer=jammer_from_spec(JAMMER_SPECS[jammer_name]),
+            seed=seed,
+            executor=ParallelExecutor(workers),
+            cache=False,
+        )
+        assert stats == reference
+        assert 0 < stats.num_accepted < num_packets  # the jammer bites, not always
 
 
 class TestEquivalenceManifest:

@@ -108,14 +108,6 @@ class TestSymbolRegionPopcount:
             got = rng.integers(0, 16, size=n_got).astype(np.uint8)
             assert rx.symbol_region_bit_errors(sent, got) == self.reference(cfg, sent, got)
 
-    def test_link_simulator_delegates(self):
-        cfg = make_config()
-        link = LinkSimulator(cfg)
-        rng = np.random.default_rng(8)
-        sent = rng.integers(0, 16, size=64).astype(np.uint8)
-        got = rng.integers(0, 16, size=64).astype(np.uint8)
-        assert link._symbol_region_bit_errors(sent, got) == self.reference(cfg, sent, got)
-
     def test_identical_symbols_zero_errors(self):
         cfg = make_config()
         sym = np.arange(32, dtype=np.uint8) % 16

@@ -284,15 +284,6 @@ class TestRunNetwork:
         assert table.columns == NETWORK_COLUMNS
         assert len(table.rows) == 3
 
-    def test_parallel_matches_serial(self):
-        spec = mesh_spec()
-        serial = run_network(spec, executor=ParallelExecutor(0), cache=False, checkpoint=False)
-        if not ParallelExecutor.fork_available():
-            pytest.skip("no fork on this platform")
-        pooled = run_network(spec, executor=ParallelExecutor(2), cache=False, checkpoint=False)
-        assert pooled.records == serial.records
-        assert pooled.aggregates() == serial.aggregates()
-
     def test_eight_link_example_through_the_pool(self):
         spec = NetworkSpec.load(os.path.join(EXAMPLES, "network_jammed8.json"))
         if not ParallelExecutor.fork_available():

@@ -408,10 +408,12 @@ class TestSweepTiming:
         assert d["batch_size"] == 64
         assert "batch 64" in t.summary()
 
-    def test_serial_batch_size_renders_as_serial(self):
-        t = SweepTiming(wall_seconds=1.0, point_seconds=(0.5,), workers=1, batch_size=1)
-        assert "serial packets" in t.summary()
-        assert t.to_dict()["batch_size"] == 1
+    def test_cap_below_two_renders_as_batch_one(self):
+        # 0 and 1 both run one packet per stacked call
+        for cap in (0, 1):
+            t = SweepTiming(wall_seconds=1.0, point_seconds=(0.5,), workers=1, batch_size=cap)
+            assert "batch 1" in t.summary()
+            assert t.to_dict()["batch_size"] == cap
 
     def test_unknown_batch_size_omitted(self):
         t = SweepTiming(wall_seconds=1.0, point_seconds=(0.5,), workers=1)
