@@ -22,14 +22,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.dsp.excision import excision_taps_from_psd, excision_taps_from_psd_batch
+from repro.dsp.excision import excision_taps_from_psd_batch
 from repro.dsp.fir import estimate_num_taps, lowpass_taps
-from repro.dsp.spectral import (
-    occupied_bandwidth,
-    occupied_bandwidth_batch,
-    welch_psd,
-    welch_psd_batch,
-)
+from repro.dsp.spectral import occupied_bandwidth_batch, welch_psd_batch
+
+# ``welch_psd`` and ``occupied_bandwidth`` are re-exported: ``bench/tracing.py``
+# attributes the control logic's PSD work through these names.
+from repro.dsp.spectral import occupied_bandwidth, welch_psd  # noqa: F401
 from repro.utils.units import db_to_linear, linear_to_db
 from repro.utils.validation import as_complex_array, ensure_positive
 
@@ -144,20 +143,19 @@ class ControlLogic:
         return taps
 
     def excision_for(self, block: np.ndarray) -> np.ndarray:
-        """The eq.-3 whitening filter estimated from a received block."""
-        k = min(self.excision_taps, max(33, (block.size // 4) | 1))
-        if k % 2 == 0:
-            k += 1
-        nperseg = min(k, block.size)
-        _freqs, psd = welch_psd(block, self.sample_rate, nperseg=nperseg, nfft=k)
-        return excision_taps_from_psd(np.fft.ifftshift(psd))
+        """The eq.-3 whitening filter estimated from a received block.
+
+        The one-row case of :meth:`excision_for_batch`.
+        """
+        x = as_complex_array(block, "block")
+        taps: np.ndarray = self.excision_for_batch(x[None])[0]
+        return taps
 
     def excision_for_batch(self, blocks: np.ndarray) -> np.ndarray:
         """Row-wise :meth:`excision_for` for a ``(R, N)`` block stack.
 
-        Returns ``(R, K)`` taps whose row ``i`` is bit-identical to
-        ``excision_for(blocks[i])`` — all rows share the block length and
-        therefore the FIR length K and Welch geometry.
+        Returns ``(R, K)`` taps, one filter per row; all rows share the
+        block length and therefore the FIR length K and Welch geometry.
         """
         blocks = np.asarray(blocks)
         if blocks.ndim != 2:
@@ -196,77 +194,23 @@ class ControlLogic:
     # -- the decision ----------------------------------------------------------
 
     def decide(self, received: np.ndarray, signal_bandwidth: float) -> FilterDecision:
-        """Classify the interference in a block and configure the filter."""
+        """Classify the interference in a block and configure the filter.
+
+        The one-row case of :meth:`decide_batch`.
+        """
         x = as_complex_array(received, "received")
-        ensure_positive(signal_bandwidth, "signal_bandwidth")
-        if x.size < 16:
-            return FilterDecision(
-                kind=FilterKind.NONE,
-                taps=None,
-                occupied_bandwidth=0.0,
-                peak_over_floor_db=0.0,
-                signal_bandwidth=float(signal_bandwidth),
-            )
-
-        nperseg = min(self.nperseg, x.size)
-        freqs, psd = welch_psd(x, self.sample_rate, nperseg=nperseg)
-        occupied = occupied_bandwidth(freqs, psd, fraction=0.99)
-        mask = np.abs(freqs) <= signal_bandwidth / 2.0
-        in_band = psd[mask]
-        # The Welch estimate's own variance scales as 1/averages: on a
-        # short block the peak-to-floor ratio of a *clean* spectrum can
-        # reach 10+ dB purely from estimation noise, so the excision
-        # threshold must rise when few segments were averaged.
-        step = max(nperseg - nperseg // 2, 1)
-        n_averages = max(1, (x.size - nperseg) // step + 1)
-        effective_margin_db = self.peak_margin_db + 10.0 / np.sqrt(n_averages)
-        if in_band.size >= 4:
-            # Anomaly spectrum: measured PSD divided by the expected
-            # signal shape.  Signal-only blocks are flat here; a
-            # narrow-band jammer lifts a minority of bins far above the
-            # low-quantile floor.
-            ratio = in_band / self._expected_shape(signal_bandwidth, freqs)[mask]
-            floor = float(np.quantile(ratio, 0.25))
-            peak = float(ratio.max())
-            hot_fraction = float(np.mean(ratio > floor * db_to_linear(effective_margin_db)))
-        else:
-            floor = float(np.median(psd))
-            peak = float(in_band.max()) if in_band.size else floor
-            hot_fraction = 0.0
-        peak_over_floor_db = linear_to_db(peak / floor) if floor > 0 else 0.0
-
-        narrow_jammer = (
-            peak_over_floor_db > effective_margin_db
-            and 0.0 < hot_fraction < self.max_hot_fraction
-        )
-        if occupied > self.wide_ratio * signal_bandwidth and not narrow_jammer:
-            taps = self.lowpass_for(signal_bandwidth, x.size)
-            kind = FilterKind.LOWPASS
-        elif narrow_jammer:
-            taps = self.excision_for(x)
-            kind = FilterKind.EXCISION
-        else:
-            taps = None
-            kind = FilterKind.NONE
-        return FilterDecision(
-            kind=kind,
-            taps=taps,
-            occupied_bandwidth=float(occupied),
-            peak_over_floor_db=float(peak_over_floor_db),
-            signal_bandwidth=float(signal_bandwidth),
-        )
+        return self.decide_batch(x[None], signal_bandwidth)[0]
 
     def decide_batch(self, blocks: np.ndarray, signal_bandwidth: float) -> list[FilterDecision]:
-        """Row-wise :meth:`decide` for a ``(R, N)`` stack of received blocks.
+        """Classify the interference in each row of an ``(R, N)`` block stack.
 
         All rows share the hop bandwidth and the block length (callers
         group hop segments by both), so the Welch geometry, the in-band
         mask, the expected signal shape, and the estimation-noise margin
-        are common across the batch.  Entry ``i`` of the returned list is
-        bit-identical to ``decide(blocks[i], signal_bandwidth)``: the
-        batched PSD/occupancy/quantile reductions reproduce the serial
-        ones row for row, and the excision filters for the rows that need
-        one are designed through the batched eq.-3 path.
+        are common across the batch.  Entry ``i`` of the returned list
+        depends on row ``i`` alone: the PSD, occupancy and quantile
+        reductions run row by row, and the excision filters for the rows
+        that need one are designed through the batched eq.-3 path.
         """
         x = np.asarray(blocks)
         if x.ndim != 2:
@@ -291,10 +235,18 @@ class ControlLogic:
         occupied = occupied_bandwidth_batch(freqs, psd, fraction=0.99)
         mask = np.abs(freqs) <= signal_bandwidth / 2.0
         in_band = psd[:, mask]
+        # The Welch estimate's own variance scales as 1/averages: on a
+        # short block the peak-to-floor ratio of a *clean* spectrum can
+        # reach 10+ dB purely from estimation noise, so the excision
+        # threshold must rise when few segments were averaged.
         step = max(nperseg - nperseg // 2, 1)
         n_averages = max(1, (n - nperseg) // step + 1)
         effective_margin_db = self.peak_margin_db + 10.0 / np.sqrt(n_averages)
         if in_band.shape[1] >= 4:
+            # Anomaly spectrum: measured PSD divided by the expected
+            # signal shape.  Signal-only blocks are flat here; a
+            # narrow-band jammer lifts a minority of bins far above the
+            # low-quantile floor.
             ratio = in_band / self._expected_shape(signal_bandwidth, freqs)[mask]
             floor = np.quantile(ratio, 0.25, axis=-1)
             peak = ratio.max(axis=-1)

@@ -129,34 +129,10 @@ class BHSSTransmitter:
         """Encode, spread, and modulate one packet.
 
         ``payload`` defaults to a deterministic pattern of the configured
-        size (packet index baked in, so consecutive packets differ).
+        size (packet index baked in, so consecutive packets differ).  The
+        one-packet case of :meth:`transmit_batch`.
         """
-        if payload is None:
-            n = self.config.payload_bytes
-            payload = bytes((packet_index + i) & 0xFF for i in range(n))
-        frame = self.config.frame_format.build(payload)
-        symbols = self.coder.encode(frame)
-        segments = tuple(self.schedule.segments(symbols.size, packet_index))
-
-        cps = self.config.chips_per_symbol
-        pieces: list[np.ndarray] = []
-        counts: list[int] = []
-        for seg in segments:
-            seg_symbols = symbols[seg.start_symbol : seg.start_symbol + seg.num_symbols]
-            chips = self.modem.spread(seg_symbols, start_chip=seg.start_symbol * cps)
-            wave = self.modulator.modulate(chips, seg.sps)
-            pieces.append(wave)
-            counts.append(wave.size)
-        waveform = np.concatenate(pieces) if pieces else np.zeros(0, dtype=complex)
-        return TransmittedPacket(
-            waveform=waveform,
-            symbols=frame,
-            air_symbols=symbols,
-            segments=segments,
-            sample_counts=tuple(counts),
-            payload=bytes(payload),
-            packet_index=packet_index,
-        )
+        return self.transmit_batch([packet_index], payload)[0]
 
     def hop_plan(
         self, num_air_symbols: int, packet_index: int
@@ -174,12 +150,12 @@ class BHSSTransmitter:
     def transmit_batch(
         self, packet_indices: Sequence[int], payload: bytes | None = None
     ) -> list["TransmittedPacket"]:
-        """Batched :meth:`transmit` over a sequence of packet indices.
+        """Encode, spread, and modulate one packet per index in ``packet_indices``.
 
-        Packet ``k`` of the result is bit-identical to
-        ``transmit(payload, k)``.  Per-(packet, segment) work is grouped
-        by ``(num_symbols, sps)`` only — the chip offset of a segment is a
-        per-row scramble-phase input, not a shape — and each group is
+        Each packet depends on its own index alone.  Per-(packet,
+        segment) work is grouped by ``(num_symbols, sps)`` only — the chip
+        offset of a segment is a per-row scramble-phase input, not a
+        shape — and each group is
         spread and pulse-shaped as one stacked operation through
         :meth:`~repro.spread.dsss.SixteenAryDSSS.spread_batch` and
         :meth:`~repro.phy.qpsk.ChipModulator.modulate_batch`.  With the

@@ -45,15 +45,9 @@ from repro.dsp.pulse import (
     get_pulse,
     pulse_spec,
 )
-from repro.dsp.mixing import (
-    chirp,
-    frequency_shift,
-    frequency_shift_batch,
-    phase_rotate,
-    phase_rotate_batch,
-)
+from repro.dsp.mixing import chirp, frequency_shift, phase_rotate
 from repro.dsp.resample import fractional_delay, linear_interpolate, resample_linear
-from repro.dsp.decimate import decimate, decimate_batch, decimation_taps
+from repro.dsp.decimate import decimate, decimation_taps
 
 __all__ = [
     "rectangular",
@@ -95,14 +89,11 @@ __all__ = [
     "get_pulse",
     "pulse_spec",
     "frequency_shift",
-    "frequency_shift_batch",
     "phase_rotate",
-    "phase_rotate_batch",
     "chirp",
     "fractional_delay",
     "linear_interpolate",
     "resample_linear",
     "decimate",
-    "decimate_batch",
     "decimation_taps",
 ]

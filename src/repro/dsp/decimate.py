@@ -16,7 +16,7 @@ import numpy as np
 from repro.dsp.fir import apply_fir, lowpass_taps
 from repro.utils.validation import as_complex_array
 
-__all__ = ["decimate", "decimate_batch", "decimation_taps"]
+__all__ = ["decimate", "decimation_taps"]
 
 _TAPS_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
@@ -51,6 +51,8 @@ def decimate(x: np.ndarray, factor: int, anti_alias: bool = True) -> np.ndarray:
     old and new Nyquist aliases into the output band (use only when that
     is the point, as in the eq.-(5) baseline).
     """
+    if np.ndim(x) != 1:
+        raise ValueError(f"signal must be 1-D, got shape {np.shape(x)}")
     sig = as_complex_array(x) if np.iscomplexobj(x) else np.asarray(x, dtype=float)
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
@@ -59,26 +61,3 @@ def decimate(x: np.ndarray, factor: int, anti_alias: bool = True) -> np.ndarray:
     if anti_alias:
         sig = apply_fir(sig, decimation_taps(factor), mode="compensated")
     return sig[::factor].copy()
-
-
-def decimate_batch(x: np.ndarray, factor: int, anti_alias: bool = True) -> np.ndarray:
-    """Row-wise :func:`decimate` on a stack of equal-length signals.
-
-    ``x`` has shape ``(R, N)``; row ``i`` of the output is bit-identical
-    to ``decimate(x[i], factor, anti_alias)`` — the anti-alias filter is
-    shared (it depends only on ``factor``) and the downsampling stride is
-    positional.
-    """
-    from repro.dsp.fir import apply_fir_batch
-
-    sig = np.asarray(x)
-    if sig.ndim != 2:
-        raise ValueError(f"x must be 2-D (batch, samples), got shape {sig.shape}")
-    sig = sig.astype(np.complex128, copy=False) if np.iscomplexobj(sig) else sig.astype(float)
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    if factor == 1 or sig.shape[1] == 0:
-        return sig.copy()
-    if anti_alias:
-        sig = apply_fir_batch(sig, decimation_taps(factor), mode="compensated")
-    return sig[:, ::factor].copy()

@@ -32,6 +32,8 @@ __all__ = [
 def excision_taps_from_psd(psd: np.ndarray, *, normalize: bool = True, floor_ratio: float = 1e-12) -> np.ndarray:
     """Build eq.-3 whitening FIR taps from a PSD sampled at K frequencies.
 
+    The one-row case of :func:`excision_taps_from_psd_batch`.
+
     Parameters
     ----------
     psd:
@@ -57,19 +59,9 @@ def excision_taps_from_psd(psd: np.ndarray, *, normalize: bool = True, floor_rat
     p = np.asarray(psd, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise ValueError(f"psd must be a 1-D array with >= 2 bins, got shape {p.shape}")
-    if np.any(p < 0) or not np.all(np.isfinite(p)):
-        raise ValueError("psd must be finite and non-negative")
-    peak = p.max()
-    if peak <= 0:
-        raise ValueError("psd is identically zero; nothing to whiten")
-    p = np.maximum(p, floor_ratio * peak)
-
-    k_len = p.size
-    k = np.arange(k_len)
-    h_dft = (1.0 / np.sqrt(p)) * np.exp(-1j * np.pi * (k_len - 1) / k_len * k)
-    if normalize:
-        h_dft = h_dft / np.median(np.abs(h_dft))
-    taps = np.fft.ifft(h_dft)
+    taps: np.ndarray = excision_taps_from_psd_batch(
+        p[None], normalize=normalize, floor_ratio=floor_ratio
+    )[0]
     return taps
 
 
@@ -78,12 +70,11 @@ def excision_taps_from_psd_batch(
 ) -> np.ndarray:
     """Row-wise :func:`excision_taps_from_psd` for a stack of PSDs.
 
-    ``psd`` has shape ``(R, K)``; returns complex taps of shape ``(R, K)``
-    whose row ``i`` is bit-identical to
-    ``excision_taps_from_psd(psd[i], ...)``.  All operations — the clip
-    against ``floor_ratio * max``, the reciprocal square root, the
-    linear-phase term, the per-row median normalization, and the final
-    IFFT — are element- or row-wise, so stacking changes nothing.
+    ``psd`` has shape ``(R, K)``; returns complex taps of shape ``(R, K)``,
+    one filter per row.  All operations — the clip against
+    ``floor_ratio * max``, the reciprocal square root, the linear-phase
+    term, the per-row median normalization, and the final IFFT — are
+    element- or row-wise, so stacking changes nothing.
     """
     p = np.asarray(psd, dtype=float)
     if p.ndim != 2 or p.shape[1] < 2:

@@ -12,9 +12,9 @@ top of ``numpy.fft`` (the simulation filters millions of samples per packet
 sweep, so direct convolution is not an option).
 
 The batch entry points (:func:`apply_fir_batch`, :func:`fft_convolve_batch`)
-validate and coerce their arguments, then run the stacked NumPy kernels
-(bit-identical, row by row, to the serial twins).  Serial :func:`apply_fir`
-runs the same overlap-save kernel, :func:`_apply_fir_rows`, on one row.
+hold the stacked NumPy kernels; each row is transformed on its own, so a
+row's output does not depend on its neighbours.  The serial
+:func:`apply_fir` and :func:`fft_convolve` are their one-row cases.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from repro.dsp.windows import WindowSpec, get_window
-from repro.utils.validation import as_complex_array, ensure_positive
+from repro.utils.validation import ensure_positive
 
 __all__ = [
     "lowpass_taps",
@@ -176,30 +176,30 @@ def convolve_nfft(n: int, k: int) -> int:
 
 
 def fft_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Full linear convolution via a single FFT (both inputs in memory)."""
+    """Full linear convolution via a single FFT (both inputs in memory).
+
+    The one-row case of :func:`fft_convolve_batch`; an empty ``x`` gives
+    an empty output.
+    """
     x = np.asarray(x)
-    taps = np.asarray(taps)
-    n_out = x.size + taps.size - 1
-    nfft = _next_fast_len(n_out)
-    spec = np.fft.fft(x, nfft) * np.fft.fft(taps, nfft)
-    out = np.fft.ifft(spec)[:n_out]
-    if np.isrealobj(x) and np.isrealobj(taps):
-        return out.real
+    h = np.asarray(taps)
+    if x.ndim != 1 or h.ndim != 1:
+        raise ValueError(f"x and taps must be 1-D, got shapes {x.shape} and {h.shape}")
+    out: np.ndarray = fft_convolve_batch(x[None], h)[0]
     return out
 
 
 def fft_convolve_batch(
     signals: np.ndarray, taps: np.ndarray, taps_fft: np.ndarray | None = None
 ) -> np.ndarray:
-    """Row-wise :func:`fft_convolve` on a stack of equal-length signals.
+    """Row-wise full linear convolution of a stack of equal-length signals.
 
     ``signals`` has shape ``(R, N)`` (leading batch axis); ``taps`` is
     either 1-D (shared by every row) or 2-D ``(R, K)`` (one filter per
-    row).  Row ``i`` of the output is bit-identical to
-    ``fft_convolve(signals[i], taps_i)``: the FFT length depends only on
-    ``N`` and ``K`` (identical across the batch), and NumPy's pocketfft
-    computes stacked transforms row by row with the same kernels it uses
-    for a single 1-D transform.
+    row).  Row ``i`` of the output depends on row ``i`` alone: the FFT
+    length depends only on ``N`` and ``K`` (identical across the batch),
+    and NumPy's pocketfft computes stacked transforms row by row with the
+    same kernels it uses for a single 1-D transform.
 
     ``taps_fft``, when given, must be ``np.fft.fft(taps,
     convolve_nfft(N, K), axis=-1)`` precomputed by the caller (e.g. the
@@ -269,11 +269,10 @@ def apply_fir_batch(
     ``signals`` has shape ``(R, N)``; ``taps`` is 1-D (one filter shared
     by all rows — e.g. the eq.-4 low-pass of a segment group) or 2-D
     ``(R, K)`` (one filter per row — e.g. per-block eq.-3 excision taps).
-    Row ``i`` of the output is bit-identical to
-    ``apply_fir(signals[i], taps_i, mode, block_size)``: the overlap-save
-    block geometry depends only on ``N``, ``K`` and ``block_size`` — all
-    identical across the batch — so every row sees exactly the serial
-    sequence of FFT lengths and block boundaries.
+    The overlap-save block geometry depends only on ``N``, ``K`` and
+    ``block_size`` — all identical across the batch — so every row sees
+    the same sequence of FFT lengths and block boundaries, whatever its
+    neighbours.
     """
     x = np.asarray(signals)
     if x.ndim != 2:
@@ -289,16 +288,6 @@ def apply_fir_batch(
     rows, n = x.shape
     if n == 0 or rows == 0:
         return x.copy()
-    if mode not in ("compensated", "same", "full"):
-        raise ValueError(f"unknown mode {mode!r}; expected 'compensated', 'same', or 'full'")
-    return _apply_fir_rows(x, h, mode, block_size)
-
-
-def _apply_fir_rows(
-    x: np.ndarray, h: np.ndarray, mode: str, block_size: int | None
-) -> np.ndarray:
-    """Overlap-save kernel of :func:`apply_fir_batch` and :func:`apply_fir` (validated inputs)."""
-    rows, n = x.shape
     k = h.shape[-1]
     if block_size is None:
         block_size = _default_block_size(n, k)
@@ -368,15 +357,15 @@ def apply_fir(signal: np.ndarray, taps: np.ndarray, mode: str = "compensated", b
     ``block_size`` overrides the overlap-save FFT block length (mostly for
     tests); by default a block of ~8x the filter length is used, capped at
     the length of the full convolution (short hop segments do not pay for
-    a full-size block).
+    a full-size block).  The one-row case of :func:`apply_fir_batch`.
     """
-    x = as_complex_array(signal) if np.iscomplexobj(signal) else np.asarray(signal, dtype=float)
+    x = np.asarray(signal)
+    if x.ndim != 1:
+        raise ValueError(f"signal must be 1-D, got shape {x.shape}")
     h = np.asarray(taps)
     if h.ndim != 1 or h.size == 0:
         raise ValueError("taps must be a non-empty 1-D array")
-    if x.size == 0:
-        return x.copy()
-    out: np.ndarray = _apply_fir_rows(x[None, :], h, mode, block_size)[0]
+    out: np.ndarray = apply_fir_batch(x[None], h, mode, block_size)[0]
     return out
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.utils.validation import as_complex_array, ensure_positive
 
-__all__ = ["frequency_shift", "frequency_shift_batch", "phase_rotate", "phase_rotate_batch", "chirp"]
+__all__ = ["frequency_shift", "phase_rotate", "chirp"]
 
 
 def frequency_shift(x: np.ndarray, offset_hz: float, sample_rate: float, initial_phase: float = 0.0) -> np.ndarray:
@@ -25,55 +25,9 @@ def frequency_shift(x: np.ndarray, offset_hz: float, sample_rate: float, initial
     return x * np.exp(1j * (2 * np.pi * offset_hz / sample_rate * n + initial_phase))
 
 
-def frequency_shift_batch(
-    x: np.ndarray,
-    offset_hz: float | np.ndarray,
-    sample_rate: float,
-    initial_phase: float = 0.0,
-) -> np.ndarray:
-    """Row-wise :func:`frequency_shift` on a stack of equal-length signals.
-
-    ``x`` has shape ``(R, N)``; ``offset_hz`` is a scalar (shared shift)
-    or an ``(R,)`` vector (per-row shift).  Row ``i`` of the output is
-    bit-identical to ``frequency_shift(x[i], offset_i, ...)`` — the
-    complex exponential is evaluated with the same scalar arithmetic per
-    row and the product is elementwise.
-    """
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValueError(f"x must be 2-D (batch, samples), got shape {x.shape}")
-    x = x.astype(np.complex128, copy=False)
-    ensure_positive(sample_rate, "sample_rate")
-    n = np.arange(x.shape[1])
-    offset = np.asarray(offset_hz, dtype=float)
-    if offset.ndim == 0:
-        phase = 2 * np.pi * float(offset) / sample_rate * n + initial_phase
-        return x * np.exp(1j * phase)
-    if offset.shape != (x.shape[0],):
-        raise ValueError(
-            f"offset_hz must be scalar or shape ({x.shape[0]},), got {offset.shape}"
-        )
-    phase = 2 * np.pi * offset[:, None] / sample_rate * n[None, :] + initial_phase
-    return x * np.exp(1j * phase)
-
-
 def phase_rotate(x: np.ndarray, phase_rad: float) -> np.ndarray:
     """Rotate a complex signal by a constant phase."""
     return as_complex_array(x) * np.exp(1j * phase_rad)
-
-
-def phase_rotate_batch(x: np.ndarray, phase_rad: float | np.ndarray) -> np.ndarray:
-    """Row-wise :func:`phase_rotate`; ``phase_rad`` scalar or ``(R,)``."""
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValueError(f"x must be 2-D (batch, samples), got shape {x.shape}")
-    x = x.astype(np.complex128, copy=False)
-    phase = np.asarray(phase_rad, dtype=float)
-    if phase.ndim == 0:
-        return x * np.exp(1j * float(phase))
-    if phase.shape != (x.shape[0],):
-        raise ValueError(f"phase_rad must be scalar or shape ({x.shape[0]},), got {phase.shape}")
-    return x * np.exp(1j * phase)[:, None]
 
 
 def chirp(num_samples: int, f_start: float, f_stop: float, sample_rate: float, initial_phase: float = 0.0) -> np.ndarray:

@@ -71,9 +71,12 @@ def _segment_psd_average(
     window: WindowSpec,
     nfft: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Average windowed periodograms over (possibly overlapping) segments."""
+    """Average windowed periodograms over (possibly overlapping) segments.
+
+    The one-row case of :func:`welch_psd_batch`.
+    """
     x = as_complex_array(x)
-    freqs, psd = _welch_psd_rows(x[None, :], sample_rate, nperseg, noverlap, window, nfft)
+    freqs, psd = welch_psd_batch(x[None], sample_rate, nperseg, noverlap, window, nfft)
     return freqs, psd[0]
 
 
@@ -88,12 +91,12 @@ def welch_psd_batch(
     """Row-wise :func:`welch_psd` on a stack of equal-length signals.
 
     ``x`` has shape ``(R, N)``; returns ``(freqs, psd)`` with ``psd`` of
-    shape ``(R, nfft)``.  Row ``i`` is bit-identical to
-    ``welch_psd(x[i], ...)``: all R rows share the segmentation geometry
+    shape ``(R, nfft)``.  All R rows share the segmentation geometry
     (same ``N``), the Welch segments across the batch go through stacked
     FFTs, and the segment accumulation runs in segment order — a
-    sequential loop over segment index, vectorized over rows — so the
-    floating-point sum is performed in exactly the single-row sequence.
+    sequential loop over segment index, vectorized over rows — so each
+    row's floating-point sum is performed in the same sequence whatever
+    the batch holds.
     """
     x = np.asarray(x)
     if x.ndim != 2:
@@ -101,18 +104,6 @@ def welch_psd_batch(
     if not np.iscomplexobj(x):
         x = x.astype(float)
     x = x.astype(np.complex128, copy=False)
-    return _welch_psd_rows(x, sample_rate, nperseg, noverlap, window, nfft)
-
-
-def _welch_psd_rows(
-    x: np.ndarray,
-    sample_rate: float,
-    nperseg: int,
-    noverlap: int | None,
-    window: WindowSpec,
-    nfft: int | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Welch kernel of :func:`welch_psd_batch` and the serial estimators (coerced input)."""
     ensure_positive(sample_rate, "sample_rate")
     if noverlap is None:
         noverlap = int(nperseg) // 2
@@ -262,34 +253,24 @@ def occupied_bandwidth(freqs: np.ndarray, psd: np.ndarray, fraction: float = 0.9
     sorted by power and accumulated until ``fraction`` of the total is
     covered; the result is the summed width of those bins.  Working on
     sorted bins (rather than a contiguous window) keeps the estimate
-    meaningful for multi-tone and comb jammers too.
+    meaningful for multi-tone and comb jammers too.  The one-row case of
+    :func:`occupied_bandwidth_batch`.
     """
     freqs = np.asarray(freqs, dtype=float)
     psd = np.asarray(psd, dtype=float)
-    if freqs.shape != psd.shape or freqs.size < 2:
-        raise ValueError("freqs and psd must be equal-length with >= 2 bins")
-    if not 0 < fraction <= 1:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    total = psd.sum()
-    if total <= 0:
-        return 0.0
-    order = np.argsort(psd)[::-1]
-    cumulative = np.cumsum(psd[order])
-    needed = int(np.searchsorted(cumulative, fraction * total)) + 1
-    df = freqs[1] - freqs[0]
-    return float(needed * df)
+    if freqs.shape != psd.shape or freqs.ndim != 1 or freqs.size < 2:
+        raise ValueError("freqs and psd must be equal-length 1-D arrays with >= 2 bins")
+    return float(occupied_bandwidth_batch(freqs, psd[None], fraction)[0])
 
 
 def occupied_bandwidth_batch(freqs: np.ndarray, psd: np.ndarray, fraction: float = 0.99) -> np.ndarray:
     """Row-wise :func:`occupied_bandwidth` for a stack of PSDs.
 
     ``psd`` has shape ``(R, nbins)`` on the shared grid ``freqs``; returns
-    an ``(R,)`` vector whose entry ``i`` is bit-identical to
-    ``occupied_bandwidth(freqs, psd[i], fraction)``.  The serial
-    ``searchsorted(cumulative, v)`` on the non-decreasing cumulative sum
-    equals the count of entries strictly below ``v``, which vectorizes as
-    a row-wise comparison; ties in the value sort contribute identical
-    addends, so the cumulative sums match the serial ones bit for bit.
+    an ``(R,)`` vector, one bandwidth per row.  The bins needed are the
+    count of cumulative-sum entries strictly below ``fraction`` of the
+    row's total, plus one: a row-wise comparison on the non-decreasing
+    cumulative sum of the descending-sorted row.
     """
     freqs = np.asarray(freqs, dtype=float)
     psd = np.asarray(psd, dtype=float)

@@ -9,8 +9,6 @@ of that contract at analysis time, before any packet is simulated:
   discipline (no ``np.random.*`` global state, no stray ``default_rng``),
 * the signal chain allocates arrays with explicit dtypes (no silent
   float64/complex128 promotion),
-* every vectorized ``*_batch`` primitive has a registered serial twin in
-  the equivalence manifest that the batch tests consume,
 * registered scenario components round-trip ``spec()``/``from_spec``,
 * ``REPRO_*`` environment knobs in code and docs agree, and
 * config dataclasses carry no mutable defaults or hidden module globals.
@@ -30,7 +28,6 @@ from repro.lint.engine import (
     all_rules,
     run_lint,
 )
-from repro.lint.manifest import BATCH_EQUIVALENCE, serial_twin
 from repro.lint.report import format_findings
 
 __all__ = [
@@ -40,7 +37,5 @@ __all__ = [
     "SourceFile",
     "all_rules",
     "run_lint",
-    "BATCH_EQUIVALENCE",
-    "serial_twin",
     "format_findings",
 ]

@@ -181,13 +181,11 @@ class LintReport:
 def all_rules() -> list[Rule]:
     """Every registered checker, in reporting order."""
     from repro.lint.project import (
-        BatchManifestRule,
         KnobDocsRule,
         MypyBaselineRule,
         RegistryRoundtripRule,
     )
     from repro.lint.rules import (
-        BatchSymmetryRule,
         DtypeDisciplineRule,
         HiddenGlobalRule,
         MutableDefaultRule,
@@ -197,10 +195,8 @@ def all_rules() -> list[Rule]:
     return [
         RngDisciplineRule(),
         DtypeDisciplineRule(),
-        BatchSymmetryRule(),
         MutableDefaultRule(),
         HiddenGlobalRule(),
-        BatchManifestRule(),
         RegistryRoundtripRule(),
         KnobDocsRule(),
         MypyBaselineRule(),

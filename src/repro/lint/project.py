@@ -1,8 +1,7 @@
-"""Whole-tree project rules: manifest, registries, env knobs, mypy baseline.
+"""Whole-tree project rules: registries, env knobs, mypy baseline.
 
-These checkers cross-reference things no single file shows: the batch
-manifest against the live import surface, the scenario registries against
-their spec protocol, ``REPRO_*`` literals against the documentation, and
+These checkers cross-reference things no single file shows: the scenario
+registries against their spec protocol, ``REPRO_*`` literals against the documentation, and
 the mypy override list in ``pyproject.toml`` against its frozen baseline.
 """
 
@@ -17,7 +16,6 @@ from typing import Iterator
 from repro.lint.engine import Finding, ProjectContext, Rule
 
 __all__ = [
-    "BatchManifestRule",
     "RegistryRoundtripRule",
     "KnobDocsRule",
     "MypyBaselineRule",
@@ -46,33 +44,6 @@ STRICT_MODULES = (
 KNOB_DOCS = ("docs/API.md", "EXPERIMENTS.md")
 #: docs that must never mention a knob the code does not read
 KNOB_DOC_SURFACES = ("docs/API.md", "EXPERIMENTS.md", "README.md")
-
-
-class BatchManifestRule(Rule):
-    """Every equivalence-manifest entry resolves to live callables.
-
-    The ``batch-symmetry`` source rule guarantees new batch primitives
-    land in the manifest; this rule guards the other direction — a
-    renamed or deleted function must not leave a dangling manifest entry
-    silently shrinking the equivalence wall.
-    """
-
-    id = "batch-manifest"
-    description = "BATCH_EQUIVALENCE entries must resolve to importable callables"
-
-    def check_project(self, ctx: ProjectContext) -> Iterator[Finding]:
-        from repro.lint import manifest
-
-        manifest_path = _relsource(ctx, manifest)
-        for batch_ref, serial_ref in manifest.BATCH_EQUIVALENCE.items():
-            for ref, kind in ((batch_ref, "batch"), (serial_ref, "serial")):
-                try:
-                    manifest.resolve(ref)
-                except Exception as exc:  # any import/type failure IS the finding
-                    yield Finding(
-                        manifest_path, _manifest_line(manifest, batch_ref), 0, self.id,
-                        f"{kind} reference {ref!r} does not resolve: {exc}",
-                    )
 
 
 class RegistryRoundtripRule(Rule):
@@ -326,27 +297,6 @@ def _toml_line(text: str, needle: str) -> int:
     """First pyproject line quoting ``needle`` (for annotation targets)."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         if f'"{needle}"' in line or f"'{needle}'" in line:
-            return lineno
-    return 1
-
-
-def _relsource(ctx: ProjectContext, module: object) -> str:
-    try:
-        path = inspect.getsourcefile(module)  # type: ignore[arg-type]
-        if path:
-            return os.path.relpath(path, os.path.abspath(ctx.root)).replace(os.sep, "/")
-    except TypeError:
-        pass
-    return "src/repro/lint/manifest.py"
-
-
-def _manifest_line(manifest_module: object, batch_ref: str) -> int:
-    try:
-        source = inspect.getsource(manifest_module)  # type: ignore[arg-type]
-    except (OSError, TypeError):
-        return 1
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        if batch_ref in line:
             return lineno
     return 1
 

@@ -1,4 +1,4 @@
-"""Per-file AST checkers: RNG, dtype, batch-naming, mutable-state rules.
+"""Per-file AST checkers: RNG, dtype, mutable-state rules.
 
 Each rule documents the project invariant it guards and points the
 finding message at the sanctioned alternative, so a failure reads as a
@@ -15,7 +15,6 @@ from repro.lint.engine import Finding, Rule, SourceFile
 __all__ = [
     "RngDisciplineRule",
     "DtypeDisciplineRule",
-    "BatchSymmetryRule",
     "MutableDefaultRule",
     "HiddenGlobalRule",
     "dotted_name",
@@ -122,52 +121,6 @@ class DtypeDisciplineRule(Rule):
                     f"{name}() without dtype= allocates float64 by default; state the "
                     "chain dtype explicitly so promotions are visible in review",
                 )
-
-
-class BatchSymmetryRule(Rule):
-    """Every public ``*_batch`` primitive is registered with a serial twin.
-
-    The batched engine's contract is *bit-for-bit* equality with the
-    serial path, enforced by ``tests/test_batch_equivalence.py`` over the
-    equivalence manifest (:mod:`repro.lint.manifest`).  A batch op that
-    is not in the manifest is a batch op with no equivalence test — the
-    exact gap this rule closes at analysis time.
-    """
-
-    id = "batch-symmetry"
-    description = (
-        "public *_batch functions in dsp/phy/spread/core need an entry in "
-        "repro.lint.manifest.BATCH_EQUIVALENCE"
-    )
-
-    PACKAGES = ("dsp", "phy", "spread", "core")
-    SUFFIXES = ("_batch", "_batched")
-
-    def check_source(self, src: SourceFile) -> Iterator[Finding]:
-        from repro.lint.manifest import BATCH_EQUIVALENCE
-
-        if not src.in_package(*self.PACKAGES):
-            return
-        module = src.module_name()
-
-        def visit(body: list[ast.stmt], prefix: str) -> Iterator[Finding]:
-            for node in body:
-                if isinstance(node, ast.ClassDef):
-                    yield from visit(node.body, f"{prefix}{node.name}.")
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    name = node.name
-                    if not name.endswith(self.SUFFIXES) or name.startswith("_"):
-                        continue
-                    qualname = f"{module}:{prefix}{name}"
-                    if qualname not in BATCH_EQUIVALENCE:
-                        yield Finding(
-                            src.relpath, node.lineno, node.col_offset, self.id,
-                            f"batch primitive {qualname!r} has no serial twin in the "
-                            "equivalence manifest; register it in repro/lint/manifest.py "
-                            "so tests/test_batch_equivalence.py covers it",
-                        )
-
-        yield from visit(src.tree.body, "")
 
 
 #: call targets that produce fresh mutable objects (unsafe as defaults)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dsp.fir import convolve_nfft, fft_convolve, fft_convolve_batch
+from repro.dsp.fir import convolve_nfft, fft_convolve_batch
 from repro.dsp.pulse import PulseShape, get_pulse
 from repro.utils.validation import as_complex_array
 
@@ -38,11 +38,15 @@ def binary_chips_to_complex(chips: np.ndarray) -> np.ndarray:
     c = np.asarray(chips, dtype=float)
     if c.ndim != 1 or c.size % 2 != 0:
         raise ValueError(f"chips must be a 1-D even-length array, got shape {c.shape}")
-    return (c[0::2] + 1j * c[1::2]) / np.sqrt(2)
+    out: np.ndarray = binary_chips_to_complex_batch(c[None])[0]
+    return out
 
 
 def binary_chips_to_complex_batch(chips: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`binary_chips_to_complex` on a ``(R, C)`` chip stack."""
+    """Row-wise :func:`binary_chips_to_complex` on a ``(R, C)`` chip stack.
+
+    Even-index chips become I, odd-index chips Q; width must be even.
+    """
     c = np.asarray(chips, dtype=float)
     if c.ndim != 2 or c.shape[1] % 2 != 0:
         raise ValueError(f"chips must be a 2-D even-width array, got shape {c.shape}")
@@ -52,9 +56,7 @@ def binary_chips_to_complex_batch(chips: np.ndarray) -> np.ndarray:
 def complex_chips_to_binary(symbols: np.ndarray) -> np.ndarray:
     """Interleave complex soft chips back into soft binary chip values."""
     s = as_complex_array(symbols, "symbols")
-    out = np.empty(2 * s.size, dtype=float)
-    out[0::2] = s.real
-    out[1::2] = s.imag
+    out: np.ndarray = complex_chips_to_binary_batch(s[None])[0]
     return out
 
 
@@ -83,7 +85,8 @@ class ChipModulator:
     The samples-per-(complex)-chip value ``sps`` is passed per call, not
     fixed at construction: hopping the bandwidth *is* changing ``sps``
     mid-packet, and the BHSS transmitter calls :meth:`modulate` with a
-    different ``sps`` for every hop segment.
+    different ``sps`` for every hop segment.  Each serial method is the
+    one-row case of its ``*_batch`` method.
     """
 
     pulse: PulseShape
@@ -102,36 +105,23 @@ class ChipModulator:
         """Modulate +-1 binary chips at ``sps`` samples per complex chip.
 
         Returns a complex waveform of ``len(chips)//2 * sps`` samples with
-        unit average power.
+        unit average power.  The one-row case of :meth:`modulate_batch`.
         """
-        if sps < 1:
-            raise ValueError(f"sps must be >= 1, got {sps}")
-        cplx = binary_chips_to_complex(chips)
-        n = cplx.size
-        if n == 0:
-            return np.zeros(0, dtype=complex)
-        p, trim = self._pulse_and_trim(sps)
-        if p.size == sps:
-            # Time-limited pulse (span 1): chip pulses don't overlap, so
-            # the shaping convolution degenerates to one scaled pulse copy
-            # per chip — a single product per output sample, no FFT.
-            wave = (cplx[:, None] * p).reshape(-1)
-        else:
-            impulses = np.zeros(n * sps, dtype=complex)
-            impulses[::sps] = cplx
-            wave = fft_convolve(impulses, p.astype(complex))[trim : trim + n * sps]
-        # Unit-energy pulse gives average power 1/sps; rescale to power 1.
-        return wave * np.sqrt(sps)
+        c = np.asarray(chips, dtype=float)
+        if c.ndim != 1 or c.size % 2 != 0:
+            raise ValueError(f"chips must be a 1-D even-length array, got shape {c.shape}")
+        wave: np.ndarray = self.modulate_batch(c[None], sps)[0]
+        return wave
 
     def modulate_batch(self, chips: np.ndarray, sps: int) -> np.ndarray:
-        """Row-wise :meth:`modulate` for a ``(R, C)`` stack of chip frames.
+        """Modulate each row of a ``(R, C)`` stack of chip frames.
 
         All rows share one ``sps`` (callers group hop segments by stretch
-        factor).  Row ``i`` of the output is bit-identical to
-        ``modulate(chips[i], sps)``: the impulse-train construction is
-        positional, and the shared-pulse convolution goes through
-        :func:`repro.dsp.fir.fft_convolve_batch`, whose per-row FFTs match
-        the serial ones bit for bit.
+        factor).  Row ``i`` of the output depends on ``chips[i]`` alone:
+        the impulse-train construction is positional, and the
+        shared-pulse convolution goes through
+        :func:`repro.dsp.fir.fft_convolve_batch`, which transforms each
+        row on its own.
         """
         if sps < 1:
             raise ValueError(f"sps must be >= 1, got {sps}")
@@ -141,8 +131,9 @@ class ChipModulator:
             return np.zeros((rows, n * sps), dtype=complex)
         p, trim = self._pulse_and_trim(sps)
         if p.size == sps:
-            # Same non-overlapping fast path as the serial :meth:`modulate`
-            # — each output sample is the identical single product.
+            # Time-limited pulse (span 1): chip pulses don't overlap, so
+            # the shaping convolution degenerates to one scaled pulse copy
+            # per chip — a single product per output sample, no FFT.
             wave = (cplx[:, :, None] * p).reshape(rows, -1)
         else:
             impulses = np.zeros((rows, n * sps), dtype=complex)
@@ -150,6 +141,7 @@ class ChipModulator:
             pf = self.pulse.spectrum_cached(sps, convolve_nfft(n * sps, p.size))
             wave = fft_convolve_batch(impulses, p.astype(complex), taps_fft=pf)
             wave = wave[:, trim : trim + n * sps]
+        # Unit-energy pulse gives average power 1/sps; rescale to power 1.
         return wave * np.sqrt(sps)
 
     def demodulate_batch(
@@ -159,10 +151,23 @@ class ChipModulator:
         num_chips: int | None = None,
         matched: bool = True,
     ) -> np.ndarray:
-        """Row-wise :meth:`demodulate` for a ``(R, N)`` waveform stack.
+        """Recover soft binary chips from each row of a ``(R, N)`` waveform stack.
 
-        Same per-row bit-identity contract as :meth:`modulate_batch`; all
-        rows share ``sps`` and ``num_chips``.
+        With ``matched=True`` (default) the waveform goes through the
+        pulse matched filter and is sampled at the correlation peaks —
+        the proper receiver.  With ``matched=False`` the chips are read
+        by *direct sampling at the chip centres* with no band-limiting at
+        all: this is eq. (5)'s "received baseband signal, sampled at the
+        chip rate", the theory model's unfiltered receiver, in which
+        out-of-band interference aliases straight into the decision
+        variable.  It is the baseline the paper's Section-6.3 power
+        advantage is measured against.
+
+        ``num_chips`` (binary chips, even) limits the output; by default
+        every full complex chip contained in the waveform is returned.
+        The soft values are scaled so that a cleanly received +-1 chip
+        yields approximately +-1.  All rows share ``sps`` and
+        ``num_chips``, and row ``i`` depends on ``waveform[i]`` alone.
         """
         if sps < 1:
             raise ValueError(f"sps must be >= 1, got {sps}")
@@ -187,8 +192,13 @@ class ChipModulator:
             mf = fft_convolve_batch(x, p.astype(complex), taps_fft=pf)
             idx = np.arange(n_cc) * sps + (p.size - 1) - trim
             soft_cplx = mf[:, idx]
+            # Undo the transmit power scaling and the matched-filter gain
+            # (pulse has unit energy, so MF gain on the aligned chip is 1).
             soft_cplx = soft_cplx / np.sqrt(sps) * np.sqrt(2)
         else:
+            # Raw chip-rate sampling: one sample at each chip centre,
+            # rescaled by the pulse's centre amplitude and the transmit
+            # power normalization so clean chips still read +-1.
             centre = sps // 2
             idx = np.arange(n_cc) * sps + centre
             idx = np.minimum(idx, x.shape[1] - 1)
@@ -207,57 +217,12 @@ class ChipModulator:
     ) -> np.ndarray:
         """Recover soft binary chips from a waveform.
 
-        With ``matched=True`` (default) the waveform goes through the
-        pulse matched filter and is sampled at the correlation peaks —
-        the proper receiver.  With ``matched=False`` the chips are read
-        by *direct sampling at the chip centres* with no band-limiting at
-        all: this is eq. (5)'s "received baseband signal, sampled at the
-        chip rate", the theory model's unfiltered receiver, in which
-        out-of-band interference aliases straight into the decision
-        variable.  It is the baseline the paper's Section-6.3 power
-        advantage is measured against.
-
-        ``num_chips`` (binary chips, even) limits the output; by default
-        every full complex chip contained in the waveform is returned.
-        The soft values are scaled so that a cleanly received +-1 chip
-        yields approximately +-1.
+        The one-row case of :meth:`demodulate_batch`, which documents
+        ``matched`` and ``num_chips``.
         """
-        if sps < 1:
-            raise ValueError(f"sps must be >= 1, got {sps}")
         x = as_complex_array(waveform, "waveform")
-        n_cc_avail = x.size // sps
-        if num_chips is not None:
-            if num_chips % 2 != 0:
-                raise ValueError("num_chips must be even (I/Q pairs)")
-            n_cc = num_chips // 2
-            if n_cc > n_cc_avail:
-                raise ValueError(
-                    f"waveform holds {n_cc_avail} complex chips, need {n_cc}"
-                )
-        else:
-            n_cc = n_cc_avail
-        if n_cc == 0:
-            return np.zeros(0, dtype=float)
-        p, trim = self._pulse_and_trim(sps)
-        if matched:
-            mf = fft_convolve(x, p.astype(complex))
-            idx = np.arange(n_cc) * sps + (p.size - 1) - trim
-            soft_cplx = mf[idx]
-            # Undo the transmit power scaling and the matched-filter gain
-            # (pulse has unit energy, so MF gain on the aligned chip is 1).
-            soft_cplx = soft_cplx / np.sqrt(sps) * np.sqrt(2)
-        else:
-            # Raw chip-rate sampling: one sample at each chip centre,
-            # rescaled by the pulse's centre amplitude and the transmit
-            # power normalization so clean chips still read +-1.
-            centre = sps // 2
-            idx = np.arange(n_cc) * sps + centre
-            idx = np.minimum(idx, x.size - 1)
-            centre_gain = p[trim + centre] if trim + centre < p.size else p[p.size // 2]
-            if centre_gain <= 0:
-                raise ValueError("pulse centre amplitude is non-positive")
-            soft_cplx = x[idx] / (np.sqrt(sps) * centre_gain) * np.sqrt(2)
-        return complex_chips_to_binary(soft_cplx)
+        soft: np.ndarray = self.demodulate_batch(x[None], sps, num_chips, matched)[0]
+        return soft
 
     def samples_for_chips(self, num_chips: int, sps: int) -> int:
         """Waveform length produced by ``num_chips`` binary chips at ``sps``."""

@@ -84,49 +84,36 @@ class SixteenAryDSSS:
         """Processing gain of the spreading operation (~9 dB)."""
         return 10.0 * np.log10(self.spreading_factor)
 
-    def _scramble_slice(self, start_chip: int, count: int) -> np.ndarray | None:
-        if self._scrambler is None:
-            return None
-        idx = (start_chip + np.arange(count)) % self._scrambler.size
-        return self._scrambler[idx]
-
-    def _scramble_slice_batch(self, start_chips, count: int, rows: int) -> np.ndarray | None:
+    def _scramble_mask(self, start_chips, count: int, rows: int) -> np.ndarray | None:
         """Scramble mask for a batch: shared (1-D) or per-row (2-D).
 
         A scalar ``start_chips`` gives the shared ``(count,)`` mask that
         broadcasts over the batch; an array gives one mask row per batch
         row, so segments at different chip offsets can share one stacked
-        call.  Either way each row multiplies by exactly the values the
-        serial :meth:`_scramble_slice` would produce.
+        call.
         """
         if self._scrambler is None:
             return None
         starts = np.asarray(start_chips, dtype=int)
-        if starts.ndim == 0:
-            return self._scramble_slice(int(starts), count)
-        if starts.shape != (rows,):
+        if starts.ndim and starts.shape != (rows,):
             raise ValueError(
                 f"start_chip batch {starts.shape} does not match row count {rows}"
             )
-        idx = (starts[:, None] + np.arange(count)) % self._scrambler.size
-        return self._scrambler[idx]
+        offsets = starts[:, None] if starts.ndim == 1 else starts
+        return self._scrambler[(offsets + np.arange(count)) % self._scrambler.size]
 
     def spread(self, symbols: np.ndarray, start_chip: int = 0) -> np.ndarray:
         """Map 4-bit symbols to +-1 chips (scrambled if a seed was given).
 
         ``start_chip`` is the absolute chip index of the first output chip,
         used to keep the scrambler phase aligned when a packet is spread in
-        segments (the BHSS transmitter spreads one hop at a time).
+        segments (the BHSS transmitter spreads one hop at a time).  The
+        one-row case of :meth:`spread_batch`.
         """
         syms = np.asarray(symbols, dtype=int)
         if syms.ndim != 1:
             raise ValueError(f"symbols must be 1-D, got shape {syms.shape}")
-        if syms.size and (syms.min() < 0 or syms.max() >= NUM_SYMBOLS):
-            raise ValueError("symbols must be in 0..15")
-        chips = self._table[syms].reshape(-1)
-        mask = self._scramble_slice(start_chip, chips.size)
-        if mask is not None:
-            chips = chips * mask
+        chips: np.ndarray = self.spread_batch(syms[None], start_chip)[0]
         return chips
 
     def despread(self, soft_chips: np.ndarray, start_chip: int = 0) -> DespreadResult:
@@ -134,35 +121,25 @@ class SixteenAryDSSS:
 
         ``soft_chips`` are real-valued chip estimates (any scale); length
         must be a multiple of 32.  Scrambling is removed first when the
-        modem was built with a seed.
+        modem was built with a seed.  The one-row case of
+        :meth:`despread_batch`.
         """
         soft = np.asarray(soft_chips, dtype=float)
         if soft.ndim != 1:
             raise ValueError(f"soft_chips must be 1-D, got shape {soft.shape}")
-        if soft.size % CHIPS_PER_SYMBOL != 0:
-            raise ValueError(
-                f"soft_chips length {soft.size} is not a multiple of {CHIPS_PER_SYMBOL}"
-            )
-        mask = self._scramble_slice(start_chip, soft.size)
-        if mask is not None:
-            soft = soft * mask
-        blocks = soft.reshape(-1, CHIPS_PER_SYMBOL)
-        scores = blocks @ self._table.T  # (n_sym, 16)
-        symbols = np.argmax(scores, axis=1)
-        peak = scores[np.arange(scores.shape[0]), symbols]
-        energy = np.sqrt(np.sum(blocks**2, axis=1) * CHIPS_PER_SYMBOL)
-        quality = np.divide(peak, energy, out=np.zeros_like(peak), where=energy > 0)
-        return DespreadResult(symbols=symbols, scores=scores, quality=quality)
+        rows = self.despread_batch(soft[None], start_chip)
+        return DespreadResult(
+            symbols=rows.symbols[0], scores=rows.scores[0], quality=rows.quality[0]
+        )
 
     def spread_batch(self, symbols: np.ndarray, start_chip=0) -> np.ndarray:
-        """Row-wise :meth:`spread` for a ``(R, n_sym)`` symbol stack.
+        """Map each row of a ``(R, n_sym)`` symbol stack to +-1 chips.
 
         ``start_chip`` is either a scalar shared by all rows or an ``(R,)``
         array of per-row chip offsets (so segments from different points of
         the hop schedule can share one stacked call).  Row ``i`` of the
-        ``(R, n_sym * 32)`` output is bit-identical to
-        ``spread(symbols[i], start_chip[i])`` — table lookup and scramble
-        overlay are elementwise.
+        ``(R, n_sym * 32)`` output depends on ``symbols[i]`` and its chip
+        offset alone — table lookup and scramble overlay are elementwise.
         """
         syms = np.asarray(symbols, dtype=int)
         if syms.ndim != 2:
@@ -175,29 +152,28 @@ class SixteenAryDSSS:
             # output dtype is known without touching them.
             return np.zeros((0, syms.shape[1] * CHIPS_PER_SYMBOL), dtype=np.float64)
         chips = self._table[syms].reshape(syms.shape[0], -1)
-        mask = self._scramble_slice_batch(start_chip, chips.shape[1], chips.shape[0])
+        mask = self._scramble_mask(start_chip, chips.shape[1], chips.shape[0])
         if mask is not None:
             chips = chips * mask
         return chips
 
     def despread_batch(self, soft_chips: np.ndarray, start_chip=0) -> DespreadResult:
-        """Row-wise :meth:`despread` for a ``(R, n_chips)`` stack.
+        """Despread each row of a ``(R, n_chips)`` stack.
 
         ``start_chip`` is a shared scalar or an ``(R,)`` array of per-row
         chip offsets, as in :meth:`spread_batch`.  Returns a
         :class:`DespreadResult` whose fields carry a leading batch axis:
         ``symbols`` is ``(R, n_sym)``, ``scores`` is ``(R, n_sym, 16)``,
-        ``quality`` is ``(R, n_sym)``.  Each row is bit-identical to the
-        serial :meth:`despread` of that row: the stacked correlator matmul
-        evaluates the same dot products, and the chip-energy reduction
-        runs over the same (last) axis.
+        ``quality`` is ``(R, n_sym)``.  Each row depends on its own chips
+        alone: the stacked correlator matmul evaluates per-row dot
+        products, and the chip-energy reduction runs over the last axis.
         """
         soft = np.asarray(soft_chips, dtype=float)
         if soft.ndim != 2:
             raise ValueError(f"soft_chips must be 2-D, got shape {soft.shape}")
         if soft.shape[1] % CHIPS_PER_SYMBOL != 0:
             raise ValueError(
-                f"soft_chips width {soft.shape[1]} is not a multiple of {CHIPS_PER_SYMBOL}"
+                f"soft_chips row length {soft.shape[1]} is not a multiple of {CHIPS_PER_SYMBOL}"
             )
         if soft.shape[0] == 0:
             # Zero-row batches cannot reshape with an inferred axis; build
@@ -208,7 +184,7 @@ class SixteenAryDSSS:
                 scores=np.zeros((0, n_sym, NUM_SYMBOLS), dtype=np.float64),
                 quality=np.zeros((0, n_sym), dtype=np.float64),
             )
-        mask = self._scramble_slice_batch(start_chip, soft.shape[1], soft.shape[0])
+        mask = self._scramble_mask(start_chip, soft.shape[1], soft.shape[0])
         if mask is not None:
             soft = soft * mask
         blocks = soft.reshape(soft.shape[0], -1, CHIPS_PER_SYMBOL)

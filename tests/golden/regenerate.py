@@ -4,13 +4,13 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-The vectors freeze the *serial* reference pipeline's output for a fixed,
+The vectors freeze the one-signal entry points' output for a fixed,
 fully seeded scenario: the transmitted waveform at every hop stretch
 factor, the eq.-3 excision taps designed against a tone jammer, and the
 despread soft-decision outputs.  ``tests/test_golden_vectors.py`` then
-checks that both the serial and the batched pipelines still reproduce
-them — a drift detector that pins today's numerics, not just
-serial/batched agreement.
+checks that one-row and multi-row batch calls still reproduce them — a
+drift detector that pins today's numerics, not just row-to-row
+agreement.
 
 Only regenerate after an *intentional* numerics change, and say why in
 the commit message.

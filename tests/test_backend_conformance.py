@@ -1,9 +1,11 @@
-"""Each batch DSP primitive's rows equal its serial twin, bit for bit.
+"""Each batch DSP primitive's R-row call equals R one-row calls, bit for bit.
 
 FIR application, fast convolution, Welch PSD, chip modulation and DSSS
 spread/despread — shared and per-row taps, real and complex dtypes.  The
-batch/serial equivalence wall (``tests/test_batch_equivalence.py``)
-rests on these.
+serial entry points are the one-row calls of these primitives, so the
+checks catch a row that depends on its neighbours.  The
+packets-per-call wall (``tests/test_batch_equivalence.py``) rests on
+these.
 
 The ``backend`` ids keep the names these checks ran under when the DSP
 chain was selectable.  numba is not a project dependency, and without it

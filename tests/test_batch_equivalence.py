@@ -1,8 +1,11 @@
-"""The batch == serial equivalence wall.
+"""The packets-per-call equivalence wall.
 
-The batched link engine's contract is *bit-for-bit* equality whatever
-the packets-per-call cap, down to one packet per stacked call, and with
-the fold of single-packet :meth:`LinkSimulator.run_packet` runs, for
+There is one packet driver and one body per DSP primitive: each serial
+entry point is the one-row call of its batch primitive.  "Serial" below
+means one packet per stacked call, not a second implementation.  The
+link engine's contract is *bit-for-bit* equality whatever the
+packets-per-call cap, down to one packet per stacked call, and with the
+fold of single-packet :meth:`LinkSimulator.run_packet` runs, for
 every (seed, operating point): same accepted counts, same bit errors,
 same filter-usage histogram, same decoded bits.  These tests sweep that
 contract across the full registry surface — every registered jammer
@@ -339,42 +342,3 @@ class TestSinglePacketReference:
         )
         assert stats == reference
         assert 0 < stats.num_accepted < num_packets  # the jammer bites, not always
-
-
-class TestEquivalenceManifest:
-    """The lint manifest and this wall cover the same surface.
-
-    ``repro.lint.manifest.BATCH_EQUIVALENCE`` is the declared registry of
-    batch/serial twins; the ``batch-symmetry`` lint rule forces new batch
-    primitives into it.  These tests keep the registry live: every
-    reference must import, every twin must actually be a different
-    callable on the same module, and every public batch primitive found
-    by the AST scan must be listed.
-    """
-
-    def test_every_manifest_pair_resolves(self):
-        from repro.lint.manifest import BATCH_EQUIVALENCE, resolve
-
-        for batch_ref, serial_ref in BATCH_EQUIVALENCE.items():
-            batch_fn = resolve(batch_ref)
-            serial_fn = resolve(serial_ref)
-            assert callable(batch_fn), batch_ref
-            assert callable(serial_fn), serial_ref
-            assert batch_fn is not serial_fn, (batch_ref, serial_ref)
-
-    def test_twins_live_in_the_same_module(self):
-        from repro.lint.manifest import BATCH_EQUIVALENCE
-
-        for batch_ref, serial_ref in BATCH_EQUIVALENCE.items():
-            assert batch_ref.split(":")[0] == serial_ref.split(":")[0], batch_ref
-
-    def test_no_unregistered_batch_primitives(self):
-        import os
-
-        from repro.lint.engine import run_lint
-
-        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        report = run_lint(
-            [os.path.join(repo, "src")], root=repo, rules=["batch-symmetry", "batch-manifest"]
-        )
-        assert report.findings == [], report.findings

@@ -75,7 +75,7 @@ class TestLintExitCodes:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("rng-discipline", "dtype-discipline", "batch-symmetry",
+        for rule_id in ("rng-discipline", "dtype-discipline",
                         "registry-roundtrip", "knob-docs", "mypy-baseline"):
             assert rule_id in out
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dsp import (
     apply_fir,
     bandpass_taps,
+    decimate,
     bandstop_taps,
     estimate_num_taps,
     fft_convolve,
@@ -140,6 +141,24 @@ class TestFftConvolve:
         x = np.ones(nx)
         h = np.ones(nh)
         assert fft_convolve(x, h).size == nx + nh - 1
+
+    def test_empty_signal_gives_empty_output(self):
+        # The one-row case of fft_convolve_batch, whose empty rows stay
+        # empty (not K - 1 zeros).
+        out = fft_convolve(np.zeros(0), np.ones(5))
+        assert out.shape == (0,)
+        assert out.dtype == np.float64
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize(
+    "call",
+    [lambda x: apply_fir(x, np.ones(5) / 5), lambda x: decimate(x, 2)],
+    ids=["apply_fir", "decimate"],
+)
+def test_two_dimensional_signal_is_rejected(call, dtype):
+    with pytest.raises(ValueError, match="signal must be 1-D"):
+        call(np.ones((3, 64), dtype=dtype))
 
 
 class TestApplyFir:

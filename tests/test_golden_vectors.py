@@ -1,14 +1,16 @@
 """Golden-vector regression tests for the DSP pipeline.
 
-``tests/golden/golden_vectors.npz`` freezes the serial reference outputs
-for a pinned scenario (see ``tests/golden/regenerate.py``).  Two layers of
+``tests/golden/golden_vectors.npz`` freezes the outputs of the one-signal
+entry points (``spread``, ``modulate``, ``excision_for``, ``demodulate``,
+``despread``) for a pinned scenario (see ``tests/golden/regenerate.py``).
+Each of those is the one-row call of its ``*_batch`` primitive, so the
+frozen file is the fixed oracle for the batch code.  Two layers of
 checking:
 
-* the serial pipeline still reproduces the frozen vectors (``allclose``
+* the one-signal calls still reproduce the frozen vectors (``allclose``
   with a tight tolerance — catches accidental numerics drift);
-* the batched pipeline reproduces the serial pipeline **exactly**
-  (``array_equal`` — the bit-for-bit contract, on the same fixed data the
-  fixtures pin down).
+* multi-row batch calls reproduce them **exactly** in every row
+  (``array_equal`` — a row must not depend on its neighbours).
 """
 
 import os

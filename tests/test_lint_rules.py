@@ -23,7 +23,6 @@ from repro.lint.engine import (
     all_rules,
     run_lint,
 )
-from repro.lint.manifest import BATCH_EQUIVALENCE, resolve, serial_twin
 from repro.lint.project import (
     KnobDocsRule,
     MypyBaselineRule,
@@ -34,7 +33,6 @@ from repro.lint.project import (
 )
 from repro.lint.report import format_findings
 from repro.lint.rules import (
-    BatchSymmetryRule,
     DtypeDisciplineRule,
     HiddenGlobalRule,
     MutableDefaultRule,
@@ -135,43 +133,6 @@ class TestDtypeDiscipline:
             import numpy as np
             buf = np.zeros(128)
         """, relpath="src/repro/analysis/fixture.py") == []
-
-
-class TestBatchSymmetry:
-    RULE = BatchSymmetryRule()
-
-    def test_bad_unregistered_batch_function(self):
-        found = findings_of(self.RULE, """\
-            def warp_batch(x):
-                return x
-        """)
-        assert len(found) == 1
-        assert "repro.dsp.fixture:warp_batch" in found[0].message
-
-    def test_bad_unregistered_batch_method(self):
-        found = findings_of(self.RULE, """\
-            class Warper:
-                def warp_batch(self, x):
-                    return x
-        """)
-        assert len(found) == 1
-        assert "Warper.warp_batch" in found[0].message
-
-    def test_good_registered_batch(self):
-        assert findings_of(self.RULE, """\
-            def apply_fir_batch(x):
-                return x
-        """, relpath="src/repro/dsp/fir.py") == []
-
-    def test_private_and_out_of_scope_ignored(self):
-        assert findings_of(self.RULE, """\
-            def _helper_batch(x):
-                return x
-        """) == []
-        assert findings_of(self.RULE, """\
-            def warp_batch(x):
-                return x
-        """, relpath="src/repro/jamming/fixture.py") == []
 
 
 class TestMutableDefault:
@@ -289,21 +250,6 @@ class TestEngine:
     def test_module_name_resolution(self):
         assert source("x = 1", "src/repro/dsp/fir.py").module_name() == "repro.dsp.fir"
         assert source("x = 1", "src/repro/dsp/__init__.py").module_name() == "repro.dsp"
-
-
-class TestBatchManifest:
-    def test_every_entry_resolves(self):
-        for batch_ref, serial_ref in BATCH_EQUIVALENCE.items():
-            assert callable(resolve(batch_ref)), batch_ref
-            assert callable(resolve(serial_ref)), serial_ref
-
-    def test_serial_twin_lookup(self):
-        assert serial_twin("repro.dsp.fir:apply_fir_batch") == "repro.dsp.fir:apply_fir"
-        assert serial_twin("repro.dsp.fir:not_registered_batch") is None
-
-    def test_stale_reference_fails_to_resolve(self):
-        with pytest.raises(Exception):
-            resolve("repro.dsp.fir:gone_with_the_wind")
 
 
 class TestKnobDocsRule:

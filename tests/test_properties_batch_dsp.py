@@ -1,8 +1,10 @@
 """Property tests of the batched DSP primitives' bit-identity contract.
 
 Every ``*_batch`` function promises ``op(stack([x_i])) == stack([op(x_i)])``
-exactly — not approximately — because the batched link engine's statistics
-must be indistinguishable from the serial reference.  Hypothesis drives
+exactly — not approximately.  Each serial ``op`` is the one-row call of
+its batch primitive, so this is the check that an R-row call equals R
+one-row calls: a row must not depend on its neighbours, or the link
+statistics would change with the packets-per-call cap.  Hypothesis drives
 random shapes, seeds, and parameters through that contract, plus the
 corollary that a batch is row-order oblivious: permuting the input rows
 permutes the output rows and changes nothing else.
