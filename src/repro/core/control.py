@@ -27,7 +27,7 @@ from repro.dsp.fir import estimate_num_taps, lowpass_taps
 from repro.dsp.spectral import occupied_bandwidth_batch, welch_psd_batch
 
 # ``welch_psd`` and ``occupied_bandwidth`` are re-exported: ``bench/tracing.py``
-# attributes the control logic's PSD work through these names.
+# names them as control-layer targets, which must resolve on this module.
 from repro.dsp.spectral import occupied_bandwidth, welch_psd  # noqa: F401
 from repro.utils.units import db_to_linear, linear_to_db
 from repro.utils.validation import as_complex_array, ensure_positive

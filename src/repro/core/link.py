@@ -417,8 +417,8 @@ class LinkSimulator:
           evolution);
         * only the deterministic DSP (pulse shaping, filtering, matched
           filtering, despreading, spectral estimation) is stacked, through
-          batch primitives whose rows are bit-identical to their serial
-          counterparts.
+          batch primitives whose rows do not depend on their neighbours
+          (each serial primitive is the one-row call of its batch one).
 
         One group is alive at a time (see :meth:`_run_batch`), so the
         working set is about one sample budget of captures plus one

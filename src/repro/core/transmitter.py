@@ -155,8 +155,8 @@ class BHSSTransmitter:
         Each packet depends on its own index alone.  Per-(packet,
         segment) work is grouped by ``(num_symbols, sps)`` only — the chip
         offset of a segment is a per-row scramble-phase input, not a
-        shape — and each group is
-        spread and pulse-shaped as one stacked operation through
+        shape — and each group is spread and pulse-shaped as one stacked
+        operation through
         :meth:`~repro.spread.dsss.SixteenAryDSSS.spread_batch` and
         :meth:`~repro.phy.qpsk.ChipModulator.modulate_batch`.  With the
         paper's eight-bandwidth set this collapses a whole packet chunk

@@ -163,8 +163,8 @@ def _default_block_size(n: int, k: int) -> int:
     ~8x the filter length amortizes the overlap, but never longer than the
     whole convolution needs: BHSS hop segments are often just a few hundred
     samples, and padding them into a fixed 4096-point block wastes most of
-    the transform.  The serial and batched paths share this choice (it is
-    part of the numerics), so they stay bit-identical to each other.
+    the transform.  The choice depends on ``n`` and ``k`` only (it is part
+    of the numerics), so a row's output does not depend on the batch.
     """
     return min(_next_fast_len(max(8 * k, 4096)), _next_fast_len(n + k - 1))
 

@@ -32,7 +32,7 @@ __all__ = [
 #: few sps values recur for every segment of every packet; sampling the
 #: pulse once per (shape, sps) removes that recomputation from the hot
 #: path.  Cached arrays are frozen (non-writeable) so a cache hit can be
-#: shared safely across the serial and batched pipelines.
+#: shared safely across callers.
 _WAVEFORM_TABLE: dict[tuple, np.ndarray] = {}
 
 #: Per-(pulse, α, nfft) pulse-spectrum table for the batched fast

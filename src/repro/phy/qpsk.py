@@ -141,8 +141,11 @@ class ChipModulator:
             pf = self.pulse.spectrum_cached(sps, convolve_nfft(n * sps, p.size))
             wave = fft_convolve_batch(impulses, p.astype(complex), taps_fft=pf)
             wave = wave[:, trim : trim + n * sps]
-        # Unit-energy pulse gives average power 1/sps; rescale to power 1.
-        return wave * np.sqrt(sps)
+        # Unit-energy pulse gives average power 1/sps; rescale to power 1,
+        # in place: a second stack-sized temporary costs more than the
+        # product itself on long hops.
+        wave *= np.sqrt(sps)
+        return wave
 
     def demodulate_batch(
         self,
