@@ -1,8 +1,9 @@
 """Whole-tree project rules: registries, env knobs, mypy baseline.
 
 These checkers cross-reference things no single file shows: the scenario
-registries against their spec protocol, ``REPRO_*`` literals against the documentation, and
-the mypy override list in ``pyproject.toml`` against its frozen baseline.
+registries against their spec protocol, ``REPRO_*`` literals against the
+documentation, and the mypy override list in ``pyproject.toml`` against
+its frozen baseline.
 """
 
 from __future__ import annotations
