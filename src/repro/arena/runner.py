@@ -50,7 +50,7 @@ TOURNAMENT_COLUMNS = (
 def evaluate_arena_cell(payload: dict, index: int) -> dict:
     """Evaluate one cell of a tournament grid.
 
-    The module-level runner of the spec transport: ``payload`` is plain
+    The spec-grid runner :func:`run_tournament` maps: ``payload`` is plain
     data — ``{"arena": ArenaSpec.to_dict(), "cache": None | False |
     <root path>}`` — and link + jammer are rebuilt from it, so the call
     is a pure function of its arguments with no fork-inherited state.

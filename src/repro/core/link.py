@@ -460,7 +460,7 @@ class LinkSimulator:
         see :func:`~repro.core.transmitter.budget_groups` for the sizing.
         """
         tx = self.transmitter
-        num_air = self.config.air_symbols(None if payload is None else len(payload))
+        num_air = tx.num_air_symbols(payload)
         lengths = (sum(tx.hop_plan(num_air, k)[1]) for k in range(start, stop))
         return budget_groups(lengths, batch, start)
 

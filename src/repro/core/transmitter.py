@@ -134,6 +134,11 @@ class BHSSTransmitter:
         """
         return self.transmit_batch([packet_index], payload)[0]
 
+    def num_air_symbols(self, payload: bytes | None = None) -> int:
+        """On-air symbols of one packet: :meth:`BHSSConfig.air_symbols` on the held coder."""
+        n = None if payload is None else len(payload)
+        return self.coder.coded_symbols(self.config.frame_symbols(n))
+
     def hop_plan(
         self, num_air_symbols: int, packet_index: int
     ) -> tuple[tuple[HopSegment, ...], list[int]]:
@@ -166,7 +171,7 @@ class BHSSTransmitter:
         if not indices:
             return []
         cps = self.config.chips_per_symbol
-        num_air = self.config.air_symbols(None if payload is None else len(payload))
+        num_air = self.num_air_symbols(payload)
 
         frames: list[np.ndarray] = []
         air_symbols: list[np.ndarray] = []

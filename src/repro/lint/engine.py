@@ -106,17 +106,6 @@ class SourceFile:
                 return True
         return False
 
-    def module_name(self) -> str:
-        """Best-effort dotted module path (``repro.dsp.fir`` style)."""
-        rel = self.relpath
-        for prefix in ("src/",):
-            if rel.startswith(prefix):
-                rel = rel[len(prefix):]
-        rel = rel[:-3] if rel.endswith(".py") else rel
-        if rel.endswith("/__init__"):
-            rel = rel[: -len("/__init__")]
-        return rel.replace("/", ".")
-
 
 @dataclass
 class ProjectContext:

@@ -48,7 +48,7 @@ JAMMER_SWEEP_COLUMNS = ("num_jammers", "network_throughput_bps", "fairness", "me
 def evaluate_network_link(payload: dict, index: int) -> dict:
     """Evaluate one link of a network spec.
 
-    This is the module-level runner of the spec transport: ``payload`` is
+    This is the spec-grid runner :func:`run_network` maps: ``payload`` is
     plain data — ``{"network": NetworkSpec.to_dict(), "cache": None |
     False | <root path>}`` — and the simulator is rebuilt from it, so the
     call is a pure function of its arguments with no fork-inherited

@@ -62,7 +62,6 @@ from repro.runtime.executor import (
     resolve_retries,
     resolve_timeout,
     resolve_workers,
-    spec_runner_ref,
 )
 from repro.runtime.faults import FaultPlan, InjectedCrash, inject_faults
 from repro.runtime.grid import run_grid
@@ -93,5 +92,4 @@ __all__ = [
     "resolve_retries",
     "resolve_timeout",
     "resolve_workers",
-    "spec_runner_ref",
 ]

@@ -9,16 +9,18 @@ parked in a module-level global immediately before the pool forks, the
 children inherit it through copy-on-write memory, and only integer indices
 and picklable *results* cross the pipe.
 
-:meth:`ParallelExecutor.map_spec` is the *spec transport*: the work
-function is an importable module-level callable (addressed as
-``"module:qualname"``) and the shared context is plain picklable data, so
-workers rebuild everything from the spec and nothing rides on
-fork-inherited globals.  Declarative scenario sweeps use this path.
+Every pool forks through ``get_context("fork")``, whatever the process's
+default start method, so a task ships only ``(index, attempt)``.
+:meth:`ParallelExecutor.map_spec` is :meth:`~ParallelExecutor.map_timed`
+of ``runner(spec, item)``: spec grids take the same path as closures.
 
 Supervision: tasks are submitted individually through a sliding window of
 ``apply_async`` calls (window = pool size, so a task's wall clock starts
-when a worker picks it up).  The supervisor loop detects three failure
-modes and recovers from all of them:
+when a worker picks it up).  Each task's completion callback wakes the
+supervisor, which refills the window at once; between completions it
+wakes every ``_POLL_SECONDS`` to check for hung tasks and dead children.
+The supervisor loop detects three failure modes and recovers from all of
+them:
 
 * a task raising — retried in place, up to ``REPRO_RETRIES`` times with
   deterministic exponential backoff, then surfaced as
@@ -46,13 +48,14 @@ the serial path.
 
 from __future__ import annotations
 
-import importlib
+import functools
 import multiprocessing
 import os
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from repro.runtime.errors import TaskError, TaskTimeout, WorkerCrash
 from repro.runtime.faults import InjectedCrash, inject_faults
@@ -64,7 +67,6 @@ __all__ = [
     "resolve_batch",
     "resolve_timeout",
     "resolve_retries",
-    "spec_runner_ref",
 ]
 
 #: Packets per stacked call when ``REPRO_BATCH`` is unset.
@@ -82,7 +84,7 @@ BACKOFF_CAP = 2.0
 #: Pool recycles (hang/crash teardowns) before degrading to serial.
 MAX_POOL_RESTARTS = 3
 
-#: Supervisor poll interval while waiting on in-flight tasks.
+#: Longest supervisor wait between completions (hang and crash checks).
 _POLL_SECONDS = 0.01
 
 #: (fn, items) visible to forked children; only set around a pool launch.
@@ -104,65 +106,15 @@ def _run_indexed(arg: tuple):
     inject_faults(index, attempt)
     t0 = time.perf_counter()
     value = fn(items[index])
-    return index, value, time.perf_counter() - t0
+    return value, time.perf_counter() - t0
 
 
-#: per-process memo of resolved ``"module:qualname"`` spec runners.
-_SPEC_RUNNERS: dict[str, Callable] = {}
-
-
-def _import_spec_runner(ref: str) -> Callable:
-    """Resolve a ``"module:qualname"`` reference to the callable it names."""
-    fn = _SPEC_RUNNERS.get(ref)
-    if fn is None:
-        module_name, _, qualname = ref.partition(":")
-        try:
-            obj = importlib.import_module(module_name)
-            for part in qualname.split("."):
-                obj = getattr(obj, part)
-        except (ImportError, AttributeError) as exc:
-            raise ValueError(f"cannot import spec runner {ref!r}: {exc}") from None
-        if not callable(obj):
-            raise ValueError(f"spec runner {ref!r} is not callable")
-        fn = _SPEC_RUNNERS[ref] = obj
-    return fn
-
-
-def spec_runner_ref(runner) -> str:
-    """The ``"module:qualname"`` address of an importable callable.
-
-    Accepts either the reference string itself or a module-level function;
-    in the latter case the reference is verified to resolve back to the
-    very same object, so closures, lambdas and methods — which a fresh
-    worker process could never re-import — are rejected up front.
-    """
-    if isinstance(runner, str):
-        ref = runner
-        if ":" not in ref:
-            raise ValueError(f"spec runner reference must be 'module:qualname', got {ref!r}")
-        _import_spec_runner(ref)
-        return ref
-    module = getattr(runner, "__module__", None)
-    qualname = getattr(runner, "__qualname__", None)
-    if not module or not qualname:
-        raise ValueError(f"spec runner {runner!r} has no importable module/qualname")
-    ref = f"{module}:{qualname}"
-    if _import_spec_runner(ref) is not runner:
-        raise ValueError(
-            f"spec runner {ref!r} does not resolve back to the given callable; "
-            "it must be a module-level function (no closures or lambdas)"
-        )
-    return ref
-
-
-def _run_spec_indexed(arg: tuple):
-    """Pool target for :meth:`ParallelExecutor.map_spec`: one (spec, item) call."""
-    ref, spec, index, attempt, item = arg
-    fn = _import_spec_runner(ref)
-    inject_faults(index, attempt)
-    t0 = time.perf_counter()
-    value = fn(spec, item)
-    return index, value, time.perf_counter() - t0
+def _record_completion(
+    completed: deque, wake: threading.Event, index: int, failed: bool, outcome
+) -> None:
+    """Pool callback: queue ``(index, outcome, failed)`` and wake the supervisor."""
+    completed.append((index, outcome, failed))
+    wake.set()
 
 
 def resolve_workers(env: str = "REPRO_WORKERS") -> int:
@@ -362,8 +314,7 @@ class ParallelExecutor:
         attempts = [0] * n
         if not self.parallel or n < 2:
             retries = self._serial_complete(
-                lambda index: fn(items[index]),
-                list(range(n)), attempts, values, seconds, on_result,
+                fn, items, range(n), attempts, values, seconds, on_result
             )
             workers = 1
         else:
@@ -371,13 +322,7 @@ class ParallelExecutor:
             _WORKER_PAYLOAD = (fn, items)
             try:
                 retries = self._pool_supervised(
-                    submit=lambda pool, index, attempt: pool.apply_async(
-                        _run_indexed, ((index, attempt),)
-                    ),
-                    serial_call=lambda index: fn(items[index]),
-                    context=multiprocessing.get_context("fork"),
-                    n=n, values=values, seconds=seconds, attempts=attempts,
-                    on_result=on_result,
+                    fn, items, values, seconds, attempts, on_result
                 )
             finally:
                 # Always drop the payload: keeping it would pin the captured
@@ -395,56 +340,19 @@ class ParallelExecutor:
 
     def map_spec(
         self,
-        runner,
+        runner: Callable,
         spec,
         items: Iterable,
         *,
         on_result: Callable[[int, object], None] | None = None,
     ) -> MapReport:
-        """Ordered map through the picklable *spec transport*.
+        """:meth:`map_timed` of ``runner(spec, item)`` over ``items``.
 
-        ``runner`` is a module-level callable (or its ``"module:qualname"``
-        reference) invoked as ``runner(spec, item)``; ``spec`` and every
-        item must be plain picklable data.  Workers re-import the runner
-        and rebuild whatever they need from the spec, so — unlike
-        :meth:`map` — nothing depends on fork-inherited globals and the
-        transport works under any ``multiprocessing`` start method.
-        ``on_result`` behaves as in :meth:`map_timed`.
+        The entry point of spec grids (:func:`~repro.runtime.grid.run_grid`);
+        ``runner`` may be any callable, closures included, since the
+        pool forks and a task ships only its index.
         """
-        ref = spec_runner_ref(runner)
-        items = list(items)
-        if not items:
-            return MapReport(values=(), seconds=(), wall_seconds=0.0, workers=1)
-        n = len(items)
-        t0 = time.perf_counter()
-        values: list = [None] * n
-        seconds: list = [0.0] * n
-        attempts = [0] * n
-        fn = _import_spec_runner(ref)
-        if self.workers > 1 and not _IN_WORKER and n >= 2:
-            retries = self._pool_supervised(
-                submit=lambda pool, index, attempt: pool.apply_async(
-                    _run_spec_indexed, ((ref, spec, index, attempt, items[index]),)
-                ),
-                serial_call=lambda index: fn(spec, items[index]),
-                context=multiprocessing.get_context(),
-                n=n, values=values, seconds=seconds, attempts=attempts,
-                on_result=on_result,
-            )
-            workers = min(self.workers, n)
-        else:
-            retries = self._serial_complete(
-                lambda index: fn(spec, items[index]),
-                list(range(n)), attempts, values, seconds, on_result,
-            )
-            workers = 1
-        return MapReport(
-            values=tuple(values),
-            seconds=tuple(seconds),
-            wall_seconds=time.perf_counter() - t0,
-            workers=workers,
-            retries=retries,
-        )
+        return self.map_timed(functools.partial(runner, spec), items, on_result=on_result)
 
     # -- supervised execution -------------------------------------------------
 
@@ -473,8 +381,9 @@ class ParallelExecutor:
 
     def _serial_complete(
         self,
-        call: Callable[[int], object],
-        pending: Sequence[int],
+        fn: Callable,
+        items: list,
+        pending: Iterable[int],
         attempts: list,
         values: list,
         seconds: list,
@@ -494,7 +403,7 @@ class ParallelExecutor:
                 t0 = time.perf_counter()
                 try:
                     inject_faults(index, attempts[index])
-                    value = call(index)
+                    value = fn(items[index])
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except Exception as exc:
@@ -514,24 +423,25 @@ class ParallelExecutor:
 
     def _pool_supervised(
         self,
-        *,
-        submit: Callable,
-        serial_call: Callable[[int], object],
-        context,
-        n: int,
+        fn: Callable,
+        items: list,
         values: list,
         seconds: list,
         attempts: list,
         on_result: Callable[[int, object], None] | None,
     ) -> int:
-        """Supervise a pool until every task completes (or one is terminal).
+        """Supervise a forked pool until every task completes (or one is terminal).
 
         Sliding window of ``apply_async`` submissions (window = pool
-        size), polled for completion, per-task wall-clock timeout and
-        dead-child detection.  A hang or crash recycles the pool and
-        requeues the unfinished work; more than ``MAX_POOL_RESTARTS``
-        recycles abandons the pool and finishes serially.
+        size); the supervisor sleeps until a task's callback reports its
+        completion, or ``_POLL_SECONDS`` pass, then checks the per-task
+        wall-clock timeout and for dead children.  A hang or crash
+        recycles the pool and requeues the unfinished work; more than
+        ``MAX_POOL_RESTARTS`` recycles abandons the pool and finishes
+        serially.
         """
+        n = len(items)
+        context = multiprocessing.get_context("fork")
         done = [False] * n
         not_before = [0.0] * n  # earliest resubmission time (backoff)
         retries_used = 0
@@ -557,10 +467,15 @@ class ParallelExecutor:
             except OSError:
                 break  # cannot even fork — serial tail
             healthy = True
+            # Filled by the pool's result thread.  ``ApplyResult`` runs its
+            # callback before it marks itself ready, so completions are taken
+            # from here, never from ``result.ready()``.
+            completed: deque = deque()
+            wake = threading.Event()
             try:
                 children = list(getattr(pool, "_pool", []))
                 queue: deque = deque(pending)
-                in_flight: dict[int, tuple] = {}
+                in_flight: dict[int, float] = {}  # index -> submission time
                 while queue or in_flight:
                     now = time.monotonic()
                     # refill the window, skipping tasks still backing off
@@ -573,22 +488,23 @@ class ParallelExecutor:
                             continue
                         queue.popleft()
                         scanned = 0
-                        in_flight[index] = (submit(pool, index, attempts[index]), time.monotonic())
-                    progressed = False
-                    for index in list(in_flight):
-                        result, _started = in_flight[index]
-                        if not result.ready():
-                            continue
+                        in_flight[index] = time.monotonic()
+                        record = functools.partial(_record_completion, completed, wake, index)
+                        pool.apply_async(
+                            _run_indexed, ((index, attempts[index]),),
+                            callback=functools.partial(record, False),
+                            error_callback=functools.partial(record, True),
+                        )
+                    wake.clear()
+                    progressed = bool(completed)
+                    while completed:
+                        index, outcome, failed = completed.popleft()
                         del in_flight[index]
-                        progressed = True
-                        try:
-                            _idx, value, secs = result.get()
-                        except (KeyboardInterrupt, SystemExit):
-                            raise
-                        except Exception as exc:
-                            kind = "crash" if isinstance(exc, InjectedCrash) else "error"
-                            register_failure(index, kind, exc)
+                        if failed:
+                            kind = "crash" if isinstance(outcome, InjectedCrash) else "error"
+                            register_failure(index, kind, outcome)
                         else:
+                            value, secs = outcome
                             values[index] = value
                             seconds[index] = secs
                             done[index] = True
@@ -598,12 +514,12 @@ class ParallelExecutor:
                         if any(child.exitcode is not None for child in children):
                             # a worker died mid-task; the oldest in-flight task
                             # is the likeliest victim — requeue everything
-                            oldest = min(in_flight, key=lambda i: in_flight[i][1])
+                            oldest = min(in_flight, key=in_flight.__getitem__)
                             register_failure(oldest, "crash")
                             healthy = False
                         elif self.timeout is not None:
                             now = time.monotonic()
-                            for index, (_result, started) in in_flight.items():
+                            for index, started in in_flight.items():
                                 if now - started > self.timeout:
                                     register_failure(index, "timeout")
                                     healthy = False
@@ -612,10 +528,10 @@ class ParallelExecutor:
                         break
                     if not progressed:
                         if not in_flight and queue:
-                            wake = min(not_before[i] for i in queue)
-                            time.sleep(max(_POLL_SECONDS, wake - time.monotonic()))
+                            backoff = min(not_before[i] for i in queue) - time.monotonic()
+                            time.sleep(max(_POLL_SECONDS, backoff))
                         else:
-                            time.sleep(_POLL_SECONDS)
+                            wake.wait(_POLL_SECONDS)
             finally:
                 pool.terminate()
                 pool.join()
@@ -624,6 +540,6 @@ class ParallelExecutor:
         # graceful degradation: finish whatever is left on the serial path
         pending = [i for i in range(n) if not done[i]]
         retries_used += self._serial_complete(
-            serial_call, pending, attempts, values, seconds, on_result
+            fn, items, pending, attempts, values, seconds, on_result
         )
         return retries_used

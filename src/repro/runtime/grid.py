@@ -6,12 +6,13 @@ flush on interrupt, removal on completion), the pending-index
 computation, the ordered executor map, the in-order merge of
 checkpointed and fresh records, and the :class:`SweepTiming`.
 
-Spec grids ship ``payload`` (plain data) plus one item per task through
+Spec grids run ``runner(payload, item)`` through
 :meth:`ParallelExecutor.map_spec`; the driver adds the flattened
 ``cache`` argument to the payload, so workers resolve the same store
 with :func:`~repro.runtime.cache.resolve_cache`.  Closure grids (raw
 :func:`~repro.analysis.sweep.run_sweep` calls) pass ``payload=None`` and
-go through :meth:`ParallelExecutor.map_timed` instead.
+call :meth:`ParallelExecutor.map_timed` directly.  Both fork the pool,
+so a task ships only its index.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ def run_grid(
     """Evaluate ``items`` in order; returns ``(records, timing)``.
 
     ``runner`` is called as ``runner(payload_with_cache, item)`` through
-    the spec transport, or as ``runner(item)`` when ``payload`` is
-    ``None`` (closure grids have no cache).  ``executor``
+    :meth:`ParallelExecutor.map_spec`, or as ``runner(item)`` when
+    ``payload`` is ``None`` (closure grids have no cache).  ``executor``
     defaults to the ``REPRO_WORKERS`` pool; records land in item order
     either way.
 

@@ -2,10 +2,10 @@
 
 :func:`run_scenario` evaluates a :class:`~repro.scenario.spec.Scenario`'s
 operating-point grid into a tidy
-:class:`~repro.analysis.sweep.SweepResult`.  The fan-out goes through the
-executor's spec transport: the only things shipped to workers are the
-scenario's ``to_dict()`` payload and ``(snr_db, sjr_db)`` tuples, and each
-worker rebuilds its link and jammer from the spec.  Because every grid
+:class:`~repro.analysis.sweep.SweepResult`.  The fan-out goes through
+:meth:`~repro.runtime.executor.ParallelExecutor.map_spec` with the
+scenario's ``to_dict()`` payload and ``(snr_db, sjr_db)`` tuples as items,
+and each grid point rebuilds its link and jammer from the spec.  Because every grid
 point gets a *fresh* link and jammer, even stateful jammers (hoppers,
 sweepers) are order-free at the sweep level, and a parallel run is
 bit-identical to a serial one.
@@ -36,7 +36,7 @@ SCENARIO_COLUMNS = ("snr_db", "sjr_db", "per", "per_lo", "per_hi", "ber", "throu
 def evaluate_scenario_point(payload: dict, point: tuple) -> dict:
     """Evaluate one ``(snr_db, sjr_db)`` grid point of a scenario.
 
-    This is the module-level runner of the spec transport: ``payload`` is
+    This is the spec-grid runner :func:`run_scenario` maps: ``payload`` is
     plain data — ``{"scenario": Scenario.to_dict(), "cache": None | False
     | <root path>}`` — and the link and jammer are rebuilt from it, so the
     call is a pure function of its arguments with no fork-inherited state.

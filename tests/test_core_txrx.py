@@ -73,6 +73,20 @@ class TestTransmitter:
         for seg, count in zip(packet.segments, packet.sample_counts):
             assert count == seg.num_symbols * 16 * seg.sps
 
+    def test_transmit_reuses_the_held_frame_coder(self, monkeypatch):
+        tx = BHSSTransmitter(cfg())
+        built = []
+        build = BHSSConfig.build_frame_coder
+
+        def counting_build(config):
+            built.append(config)
+            return build(config)
+
+        monkeypatch.setattr(BHSSConfig, "build_frame_coder", counting_build)
+        for k in range(50):
+            tx.transmit(packet_index=k)
+        assert built == []
+
 
 class TestReceiverClean:
     @pytest.mark.parametrize("pattern", ["linear", "exponential", "parabolic"])

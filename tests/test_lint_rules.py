@@ -247,10 +247,6 @@ class TestEngine:
         assert [f.line for f in report.findings] == [2, 3]
         assert report.counts_by_rule() == {"dtype-discipline": 2}
 
-    def test_module_name_resolution(self):
-        assert source("x = 1", "src/repro/dsp/fir.py").module_name() == "repro.dsp.fir"
-        assert source("x = 1", "src/repro/dsp/__init__.py").module_name() == "repro.dsp"
-
 
 class TestKnobDocsRule:
     def make_ctx(self, tmp_path, code, api_text, readme_text=""):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -94,6 +95,26 @@ class TestParallelExecutor:
 
         flags = ParallelExecutor(2).map(probe, [0, 1, 2])
         assert all(flags)
+
+    @needs_fork
+    def test_supervisor_wakes_on_each_completion(self, monkeypatch):
+        # With a 2 s poll, a supervisor that waited out the poll even once
+        # (polling, or a lost wake-up) would take longer than the poll.
+        # More workers than cores and a short switch interval interleave
+        # the pool's result thread with the supervisor as often as possible.
+        from repro.runtime import executor as executor_module
+
+        monkeypatch.setattr(executor_module, "_POLL_SECONDS", 2.0)
+        items = list(range(200))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            report = ParallelExecutor(4).map_timed(lambda x: x * 3, items)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.values == tuple(x * 3 for x in items)
+        assert report.workers == 4 and report.retries == 0
+        assert report.wall_seconds < 2.0
 
     def test_map_timed_report(self):
         report = ParallelExecutor(0).map_timed(lambda x: x, [1, 2])

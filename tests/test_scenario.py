@@ -3,12 +3,16 @@
 Covers the spec round trips (``BHSSConfig.to_dict``/``from_dict``, jammer
 ``spec()``/``from_spec`` for every registered type), the field-naming
 validation errors, ``Scenario`` load/save/build, serial-vs-parallel
-equivalence of ``run_scenario`` through the spec transport, and the
+equivalence of ``run_scenario`` through ``map_spec``, and the
 cross-process cache-key guarantee (identical scenario JSON → same cache
 entries).
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +44,7 @@ from repro.jamming import (
     jammer_names,
 )
 from repro.jamming.base import Jammer
-from repro.runtime import ParallelExecutor, ResultCache, spec_runner_ref
+from repro.runtime import ParallelExecutor, ResultCache
 from repro.scenario import SCENARIO_COLUMNS, Scenario, ScenarioError, run_scenario
 from repro.utils.rng import make_rng
 
@@ -320,37 +324,54 @@ class TestRunScenario:
 
 
 # ---------------------------------------------------------------------------
-# spec transport
+# map_spec: one forked transport for every runner
 # ---------------------------------------------------------------------------
 
 def _double(spec, item):
     return {"value": spec["k"] * item}
 
 
-class TestMapSpec:
-    def test_serial_and_string_ref(self):
-        ex = ParallelExecutor(0)
-        report = ex.map_spec(_double, {"k": 3}, [1, 2, 3])
-        assert [v["value"] for v in report.values] == [3, 6, 9]
-        ref = spec_runner_ref(_double)
-        assert ref == f"{__name__}:_double"
-        report2 = ex.map_spec(ref, {"k": 3}, [1, 2, 3])
-        assert report2.values == report.values
+_SPAWN_PROBE = """
+import multiprocessing
+multiprocessing.set_start_method("spawn", force=True)
+from repro.runtime import ParallelExecutor
+k = 5
+report = ParallelExecutor(2).map_spec(lambda spec, item: spec["k"] * item + k, {"k": 3}, range(6))
+assert report.workers == 2, report.workers
+assert list(report.values) == [3 * i + 5 for i in range(6)], report.values
+"""
 
+
+class TestMapSpec:
     def test_pool_matches_serial(self):
         items = list(range(8))
         serial = ParallelExecutor(0).map_spec(_double, {"k": 2}, items)
         pooled = ParallelExecutor(2).map_spec(_double, {"k": 2}, items)
         assert pooled.values == serial.values
 
-    def test_rejects_unimportable_runners(self):
-        ex = ParallelExecutor(0)
-        with pytest.raises(ValueError, match="spec runner"):
-            ex.map_spec(lambda spec, item: item, {}, [1])
-        with pytest.raises(ValueError, match="module:qualname"):
-            spec_runner_ref("no_colon_here")
-        with pytest.raises(ValueError, match="cannot import"):
-            spec_runner_ref("definitely.missing.module:fn")
+    def test_closure_runner_pool_matches_serial(self):
+        offset = 7
+
+        def runner(spec, item):
+            return {"value": spec["k"] * item + offset}
+
+        items = list(range(8))
+        serial = ParallelExecutor(0).map_spec(runner, {"k": 3}, items)
+        pooled = ParallelExecutor(2).map_spec(runner, {"k": 3}, items)
+        assert [v["value"] for v in serial.values] == [3 * i + 7 for i in items]
+        assert pooled.values == serial.values
+        assert pooled.workers == 2
+
+    def test_pool_forks_under_spawn_default(self):
+        # The process default start method does not matter: pools always
+        # fork, so a closure runner still fans out over two workers.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", _SPAWN_PROBE], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_empty_items(self):
         report = ParallelExecutor(4).map_spec(_double, {"k": 1}, [])
