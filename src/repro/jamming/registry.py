@@ -14,6 +14,7 @@ the built-in ones.
 
 from __future__ import annotations
 
+import functools
 import inspect
 
 import numpy as np
@@ -76,8 +77,9 @@ def register_jammer(name: str, cls: type[Jammer]) -> None:
     JAMMER_REGISTRY[key] = cls
 
 
-def _accepted_parameters(cls: type[Jammer]) -> set[str]:
-    return set(inspect.signature(cls.__init__).parameters) - {"self"}
+@functools.cache
+def _accepted_parameters(cls: type[Jammer]) -> frozenset[str]:
+    return frozenset(inspect.signature(cls.__init__).parameters) - {"self"}
 
 
 def _inject_sample_rate(params: dict, sample_rate: float) -> None:

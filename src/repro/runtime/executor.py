@@ -503,6 +503,7 @@ class ParallelExecutor:
                         if failed:
                             kind = "crash" if isinstance(outcome, InjectedCrash) else "error"
                             register_failure(index, kind, outcome)
+                            queue.append(index)  # retried in place, after its backoff
                         else:
                             value, secs = outcome
                             values[index] = value

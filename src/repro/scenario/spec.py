@@ -37,6 +37,7 @@ from repro.utils.validation import read_spec_file
 
 if TYPE_CHECKING:
     from repro.analysis.sweep import SweepResult
+    from repro.channel.impairments import Impairments
     from repro.runtime import ParallelExecutor, ResultCache
 
 __all__ = ["Scenario", "ScenarioError"]
@@ -117,6 +118,12 @@ class Scenario:
         """A ready link simulator and jammer built from the specs."""
         from repro.core.link import LinkSimulator
 
+        jammer, channel, impairments = self._components()
+        link = LinkSimulator(self.config, impairments=impairments, channel=channel)
+        return link, jammer
+
+    def _components(self) -> tuple[Jammer, Any, "Impairments | None"]:
+        """The jammer, channel and impairments, each from its registry."""
         try:
             jammer = jammer_from_spec(self.jammer, sample_rate=self.config.sample_rate)
         except ValueError as exc:
@@ -129,12 +136,11 @@ class Scenario:
             impairments = impairments_from_spec(self.impairments)
         except ValueError as exc:
             raise ScenarioError(f"impairments: {exc}") from None
-        link = LinkSimulator(self.config, impairments=impairments, channel=channel)
-        return link, jammer
+        return jammer, channel, impairments
 
     def validate(self) -> "Scenario":
-        """Deep-check the component specs (builds them once); returns self."""
-        self.build()
+        """Check the component specs through their registries (builds no link); returns self."""
+        self._components()
         return self
 
     def points(self) -> list[tuple[float, float]]:
@@ -180,8 +186,10 @@ class Scenario:
         """Rebuild and validate a scenario from :meth:`to_dict` output.
 
         ``source`` (e.g. a file path) prefixes error messages.  Component
-        specs are deep-validated: the jammer, channel and impairments are
-        built once so a bad field fails here, not mid-sweep.
+        specs are deep-validated: the jammer, channel and impairments
+        specs are checked through their registries so a bad field fails
+        here, not mid-sweep; the link itself is built only by
+        :meth:`build`, once per grid point.
         """
         prefix = f"{source}: " if source else ""
         try:

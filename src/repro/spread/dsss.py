@@ -24,6 +24,11 @@ from repro.utils.rng import derive_seed
 
 __all__ = ["SixteenAryDSSS", "DespreadResult", "BPSKDSSS"]
 
+#: The +-1 chip table every :class:`SixteenAryDSSS` shares; read-only, so
+#: no modem can change another's chips.
+_CHIP_TABLE_PM = chip_table_pm()
+_CHIP_TABLE_PM.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class DespreadResult:
@@ -67,7 +72,7 @@ class SixteenAryDSSS:
     spreading_factor = CHIPS_PER_SYMBOL // 4
 
     def __init__(self, seed: int | None = None, scramble_length: int = 1 << 16) -> None:
-        self._table = chip_table_pm()
+        self._table = _CHIP_TABLE_PM
         if seed is None:
             self._scrambler = None
         else:

@@ -9,6 +9,7 @@ and compare against fault-free baselines with plain ``==``.
 """
 
 import multiprocessing
+import multiprocessing.pool
 import os
 import time
 
@@ -235,6 +236,24 @@ class TestPoolRecovery:
         report = ParallelExecutor(3, retries=2).map_timed(lambda x: x + 0.25, items)
         assert list(report.values) == baseline
         assert report.retries > 0
+
+    def test_raised_task_is_retried_in_the_same_pool(self, monkeypatch):
+        pools = []
+        original = multiprocessing.pool.Pool.__init__
+
+        def counting_init(pool, *args, **kwargs):
+            pools.append(pool)
+            original(pool, *args, **kwargs)
+
+        items = list(range(40))
+        monkeypatch.setenv("REPRO_FAULTS", "crash:0.1")
+        serial = ParallelExecutor(0, retries=2).map_timed(lambda x: x * 2.5, items)
+        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting_init)
+        pooled = ParallelExecutor(2, retries=2).map_timed(lambda x: x * 2.5, items)
+        assert serial.retries > 0
+        assert len(pools) == 1
+        assert list(pooled.values) == list(serial.values)
+        assert pooled.retries == serial.retries
 
     def test_hang_faults_recover_via_timeout(self, monkeypatch):
         items = list(range(6))

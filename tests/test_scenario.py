@@ -42,6 +42,7 @@ from repro.jamming import (
     ToneJammer,
     jammer_from_spec,
     jammer_names,
+    register_jammer,
 )
 from repro.jamming.base import Jammer
 from repro.runtime import ParallelExecutor, ResultCache
@@ -170,6 +171,24 @@ class TestJammerRegistry:
         jammer = NoJammer()
         assert jammer_from_spec(jammer) is jammer
 
+    def test_jammer_registered_after_a_lookup_validates_its_fields(self):
+        jammer_from_spec({"type": "noise", "bandwidth": 1e6}, sample_rate=FS)
+
+        class LateJammer(NoJammer):
+            def __init__(self, level: float = 1.0) -> None:
+                self.level = level
+
+            def spec(self) -> dict:
+                return {"type": "late-unit", "level": self.level}
+
+        register_jammer("late-unit", LateJammer)
+        try:
+            assert jammer_from_spec({"type": "late-unit", "level": 2.0}).level == 2.0
+            with pytest.raises(ValueError, match="levle"):
+                jammer_from_spec({"type": "late-unit", "levle": 2.0})
+        finally:
+            del JAMMER_REGISTRY["late-unit"]
+
 
 # ---------------------------------------------------------------------------
 # channel registry
@@ -265,6 +284,45 @@ class TestScenario:
         with pytest.raises(ScenarioError) as err:
             Scenario.from_dict({"name": "x", "config": {"symbols_per_hop": "four"}})
         assert "config field 'symbols_per_hop': expected an integer" in str(err.value)
+
+
+class TestGridPointCost:
+    """A grid point builds one link; validation builds none."""
+
+    @pytest.fixture
+    def links(self, monkeypatch):
+        built = []
+        original = LinkSimulator.__init__
+
+        def counting_init(link, *args, **kwargs):
+            built.append(link)
+            original(link, *args, **kwargs)
+
+        monkeypatch.setattr(LinkSimulator, "__init__", counting_init)
+        return built
+
+    def test_from_dict_builds_no_link(self, links):
+        Scenario.from_dict(_scenario().to_dict())
+        assert links == []
+
+    def test_validation_still_names_component_fields(self, links):
+        data = _scenario().to_dict()
+        for field_name, spec, fragment in [
+            ("jammer", {"type": "noise", "bandwith": 1e6}, "jammer: .*bandwith"),
+            ("channel", {"type": "multipath", "num_tapz": 8}, "channel: .*num_tapz"),
+            ("impairments", {"cfo": 1.0}, "impairments: "),
+        ]:
+            with pytest.raises(ScenarioError, match=fragment):
+                Scenario.from_dict({**data, field_name: spec})
+        assert links == []
+
+    def test_evaluate_point_builds_one_link(self, links):
+        from repro.scenario.runner import evaluate_scenario_point
+
+        payload = {"scenario": _scenario().with_overrides(packets=1).to_dict(), "cache": False}
+        row = evaluate_scenario_point(payload, (15.0, 0.0))
+        assert len(links) == 1
+        assert row["snr_db"] == 15.0 and row["sjr_db"] == 0.0
 
 
 # ---------------------------------------------------------------------------

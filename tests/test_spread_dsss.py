@@ -56,6 +56,18 @@ class TestSixteenAryDSSS:
         chips = modem.spread(np.array([0, 5, 15]))
         assert chips.size == 3 * CHIPS_PER_SYMBOL
 
+    def test_modems_share_one_read_only_chip_table(self):
+        a, b = SixteenAryDSSS(seed=1), SixteenAryDSSS(seed=2)
+        assert a._table is b._table
+        np.testing.assert_array_equal(a._table, chip_table_pm())
+        with pytest.raises(ValueError):
+            a._table[0, 0] = 0.0
+        # the public builders still hand out fresh, writable arrays
+        fresh = chip_table_pm()
+        fresh[:] = 0.0
+        np.testing.assert_array_equal(chip_table_pm(), a._table)
+        assert ieee802154_chip_table() is not ieee802154_chip_table()
+
     def test_roundtrip_clean(self):
         modem = SixteenAryDSSS()
         symbols = np.arange(16)
