@@ -1,12 +1,13 @@
 """Tournament execution over the fault-tolerant parallel runtime.
 
 :func:`run_tournament` fans an :class:`ArenaSpec`'s cells out over the
-:class:`~repro.runtime.executor.ParallelExecutor` through the same spec
-transport, cache, and checkpoint machinery as scenario and network runs:
-workers receive only the arena's ``to_dict()`` payload plus cell
-indices, rebuild link and jammer from the spec, memoize each cell under
-a content hash of its exact configuration, and checkpoint completed
-cells incrementally so an interrupted tournament resumes bit-identically.
+:class:`~repro.runtime.executor.ParallelExecutor` through
+:func:`~repro.runtime.grid.run_spec`, like every other spec kind: the
+arena's ``to_dict()`` is the payload and a task ships only its cell
+index, workers rebuild link and jammer from the spec, memoize each cell
+under a content hash of its exact configuration, and checkpoint
+completed cells incrementally so an interrupted tournament resumes
+bit-identically.
 
 The output is a **resilience matrix** — BER / PER / throughput per
 (jammer, pattern, hop range) cell — plus the ``jammer-advantage``
@@ -26,8 +27,7 @@ from repro.runtime import (
     ResultCache,
     SweepTiming,
     cached_record,
-    run_grid,
-    stable_hash,
+    run_spec,
 )
 
 if TYPE_CHECKING:
@@ -195,15 +195,8 @@ def run_tournament(
     under the arena's canonical spec hash, so a rerun of the *same*
     tournament recomputes only unfinished cells.
     """
-    spec_dict = spec.to_dict()
-    records, timing = run_grid(
-        evaluate_arena_cell,
-        range(spec.num_cells),
-        key=stable_hash({"arena": spec_dict}),
-        payload={"arena": spec_dict},
-        executor=executor,
-        cache=cache,
-        checkpoint=checkpoint,
-        packets=spec.packets,
+    records, timing = run_spec(
+        evaluate_arena_cell, spec, range(spec.num_cells), packets=spec.packets,
+        executor=executor, cache=cache, checkpoint=checkpoint,
     )
     return TournamentResult(spec=spec, records=records, timing=timing)

@@ -36,8 +36,6 @@ not of JSON key order.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -46,7 +44,7 @@ from repro.hopping.bands import BandwidthSet
 from repro.hopping.patterns import PATTERN_NAMES
 from repro.jamming.base import Jammer
 from repro.jamming.registry import jammer_from_spec
-from repro.utils.validation import read_spec_file
+from repro.utils.spec import SpecError, SpecFile, require_int, require_number
 
 __all__ = ["ArenaError", "ArenaSpec", "NO_JAMMER"]
 
@@ -54,26 +52,12 @@ __all__ = ["ArenaError", "ArenaSpec", "NO_JAMMER"]
 NO_JAMMER: dict[str, Any] = {"type": "none"}
 
 
-class ArenaError(ValueError):
+class ArenaError(SpecError):
     """An arena spec failed validation; the message names the field."""
 
 
-def _require_int(value: object, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ArenaError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ArenaError(f"{path}: must be >= {minimum}, got {value}")
-    return int(value)
-
-
-def _require_number(value: object, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ArenaError(f"{path}: expected a number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
-class ArenaSpec:
+class ArenaSpec(SpecFile):
     """A jammer-strategy x hop-pattern x hop-range tournament grid.
 
     Attributes
@@ -116,6 +100,13 @@ class ArenaSpec:
     seed: int = 0
     description: str = ""
 
+    KIND = "arena"
+    Error = ArenaError
+    FIELDS = frozenset({
+        "name", "description", "config", "jammers", "patterns",
+        "hop_ranges", "snr_db", "sjr_db", "packets", "seed",
+    })
+
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ArenaError("name: must be a non-empty string")
@@ -156,7 +147,7 @@ class ArenaSpec:
             raise ArenaError("hop_ranges: at least one entry is required")
         limit = len(self.config.bandwidth_set)
         for k in ranges:
-            _require_int(k, "hop_ranges", minimum=1)
+            require_int(k, "hop_ranges", ArenaError, minimum=1)
             if k > limit:
                 raise ArenaError(
                     f"hop_ranges: {k} exceeds the {limit}-bandwidth base set"
@@ -164,10 +155,10 @@ class ArenaSpec:
         if len(set(ranges)) != len(ranges):
             raise ArenaError("hop_ranges: entries must be distinct")
         object.__setattr__(self, "hop_ranges", tuple(int(k) for k in ranges))
-        object.__setattr__(self, "snr_db", _require_number(self.snr_db, "snr_db"))
-        object.__setattr__(self, "sjr_db", _require_number(self.sjr_db, "sjr_db"))
-        _require_int(self.packets, "packets", minimum=1)
-        _require_int(self.seed, "seed")
+        object.__setattr__(self, "snr_db", require_number(self.snr_db, "snr_db", ArenaError))
+        object.__setattr__(self, "sjr_db", require_number(self.sjr_db, "sjr_db", ArenaError))
+        require_int(self.packets, "packets", ArenaError, minimum=1)
+        require_int(self.seed, "seed", ArenaError)
         if not isinstance(self.description, str):
             raise ArenaError("description: must be a string")
 
@@ -212,7 +203,7 @@ class ArenaSpec:
         ``num_bands = 1`` pins the link to the widest bandwidth (hopping
         disabled — the static-band baseline).
         """
-        num_bands = _require_int(num_bands, "num_bands", minimum=1)
+        num_bands = require_int(num_bands, "num_bands", ArenaError, minimum=1)
         base = self.config.bandwidth_set
         if num_bands > len(base):
             raise ArenaError(f"num_bands: {num_bands} exceeds the {len(base)}-bandwidth base set")
@@ -275,65 +266,37 @@ class ArenaSpec:
         cell is deep-validated, so a bad jammer field fails here, not
         mid-tournament.
         """
-        prefix = f"{source}: " if source else ""
-        try:
-            if not isinstance(data, dict):
-                raise ArenaError(f"arena spec must be a mapping, got {type(data).__name__}")
-            known = {
-                "name", "description", "config", "jammers", "patterns",
-                "hop_ranges", "snr_db", "sjr_db", "packets", "seed",
-            }
-            unknown = set(data) - known
-            if unknown:
-                raise ArenaError(f"unknown arena field(s): {sorted(unknown)}")
-            if "name" not in data:
-                raise ArenaError("name: field is required")
-            try:
-                config = BHSSConfig.from_dict(data.get("config", {}))
-            except ValueError as exc:
-                raise ArenaError(f"config: {exc}") from None
-            raw_jammers = data.get("jammers")
-            if not isinstance(raw_jammers, dict) or not raw_jammers:
-                raise ArenaError("jammers: must be a non-empty {label: spec} mapping")
-            jammers = []
-            for label, spec in raw_jammers.items():
-                if not isinstance(label, str) or not label:
-                    raise ArenaError("jammers: labels must be non-empty strings")
-                if not isinstance(spec, dict):
-                    raise ArenaError(f"jammers[{label!r}]: must be a registry spec mapping")
-                jammers.append((label, dict(spec)))
-            kwargs: dict[str, Any] = {
-                "name": data["name"],
-                "config": config,
-                "jammers": tuple(jammers),
-                "description": data.get("description", ""),
-            }
-            for key in ("snr_db", "sjr_db", "packets", "seed"):
-                if key in data:
-                    kwargs[key] = data[key]
-            for key in ("patterns", "hop_ranges"):
-                if key in data:
-                    value = data[key]
-                    if not isinstance(value, (list, tuple)):
-                        raise ArenaError(f"{key}: must be a list")
-                    kwargs[key] = tuple(value)
-            return cls(**kwargs).validate()
-        except ArenaError as exc:
-            if prefix:
-                raise ArenaError(f"{prefix}{exc}") from None
-            raise
-
-    def save(self, path: str) -> str:
-        """Write the arena spec as pretty-printed JSON; returns the path."""
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+        return cls._read(data, source, cls._parse)
 
     @classmethod
-    def load(cls, path: str) -> "ArenaSpec":
-        """Read and validate an arena JSON file."""
-        return cls.from_dict(read_spec_file(path, "arena", ArenaError), source=path)
+    def _parse(cls, data: dict) -> "ArenaSpec":
+        try:
+            config = BHSSConfig.from_dict(data.get("config", {}))
+        except ValueError as exc:
+            raise ArenaError(f"config: {exc}") from None
+        raw_jammers = data.get("jammers")
+        if not isinstance(raw_jammers, dict) or not raw_jammers:
+            raise ArenaError("jammers: must be a non-empty {label: spec} mapping")
+        jammers = []
+        for label, spec in raw_jammers.items():
+            if not isinstance(label, str) or not label:
+                raise ArenaError("jammers: labels must be non-empty strings")
+            if not isinstance(spec, dict):
+                raise ArenaError(f"jammers[{label!r}]: must be a registry spec mapping")
+            jammers.append((label, dict(spec)))
+        kwargs: dict[str, Any] = {
+            "name": data["name"],
+            "config": config,
+            "jammers": tuple(jammers),
+            "description": data.get("description", ""),
+        }
+        for key in ("snr_db", "sjr_db", "packets", "seed"):
+            if key in data:
+                kwargs[key] = data[key]
+        for key in ("patterns", "hop_ranges"):
+            if key in data:
+                value = data[key]
+                if not isinstance(value, (list, tuple)):
+                    raise ArenaError(f"{key}: must be a list")
+                kwargs[key] = tuple(value)
+        return cls(**kwargs).validate()

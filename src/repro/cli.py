@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.analysis import ThresholdSearch, min_snr_for_per, run_sweep
-from repro.arena import ArenaError, ArenaSpec, run_tournament
+from repro.arena import ArenaSpec, run_tournament
 from repro.core import BHSSConfig, BHSSTransmitter, LinkSimulator, theory
 from repro.hopping import (
     expected_bandwidth,
@@ -79,11 +79,12 @@ from repro.jamming import (
     SweepJammer,
     ToneJammer,
 )
-from repro.network import NetworkError, NetworkSpec, run_network
-from repro.protocol import SessionError, SessionSpec, run_session
+from repro.network import NetworkSpec, run_network
+from repro.protocol import SessionSpec, run_session
 from repro.runtime import resolve_cache
-from repro.scenario import Scenario, ScenarioError, run_scenario
+from repro.scenario import Scenario, run_scenario
 from repro.utils import format_table, read_spec_file, save_recording
+from repro.utils.spec import SpecError
 
 __all__ = ["main", "build_parser"]
 
@@ -372,17 +373,16 @@ def _arena_footer(spec: ArenaSpec, result) -> list[str]:
 class SpecKind:
     """How the CLI loads, describes, runs and prints one kind of spec file.
 
-    ``spec`` loads it (``from_dict``), raising ``error``; ``size`` is the
+    ``spec`` is its :class:`~repro.utils.spec.SpecFile` class, which
+    loads it and names its noun (``KIND``) and error; ``size`` is the
     ``run`` header's description, ``summary`` the ``scenario validate``
     one and ``listing`` the two ``scenario list`` cells; ``headers``,
     ``cells`` and ``title`` render the result table, and ``footer`` the
     lines printed under it.
     """
 
-    noun: str
     flag: str
     spec: Any
-    error: type[ValueError]
     run: Callable[..., Any]
     size: Callable[[Any], str]
     summary: Callable[[Any], str]
@@ -404,7 +404,7 @@ def _network_size(n: NetworkSpec) -> str:
 #: every kind of spec file, keyed by the name :func:`spec_kind` returns.
 SPEC_KINDS: dict[str, SpecKind] = {
     "scenario": SpecKind(
-        noun="scenario", flag="scenario", spec=Scenario, error=ScenarioError, run=run_scenario,
+        flag="scenario", spec=Scenario, run=run_scenario,
         size=_scenario_size,
         summary=_scenario_size,
         listing=lambda s: (str(s.jammer.get("type", "?")), f"{len(s.points())}x{s.packets}"),
@@ -413,7 +413,7 @@ SPEC_KINDS: dict[str, SpecKind] = {
         title="scenario",
     ),
     "network": SpecKind(
-        noun="network", flag="network", spec=NetworkSpec, error=NetworkError, run=run_network,
+        flag="network", spec=NetworkSpec, run=run_network,
         size=_network_size,
         summary=_network_size,
         listing=lambda n: (
@@ -425,7 +425,7 @@ SPEC_KINDS: dict[str, SpecKind] = {
         footer=_network_footer,
     ),
     "arena": SpecKind(
-        noun="arena", flag="tournament", spec=ArenaSpec, error=ArenaError, run=run_tournament,
+        flag="tournament", spec=ArenaSpec, run=run_tournament,
         size=lambda a: (
             f"{len(a.jammers)} jammers x {len(a.patterns)} patterns x "
             f"{len(a.hop_ranges)} hop ranges = {a.num_cells} cells x {a.packets} packets"
@@ -445,7 +445,7 @@ SPEC_KINDS: dict[str, SpecKind] = {
         footer=_arena_footer,
     ),
     "session": SpecKind(
-        noun="session", flag="session", spec=SessionSpec, error=SessionError, run=run_session,
+        flag="session", spec=SessionSpec, run=run_session,
         size=lambda s: (
             f"{len(s.points())} operating points, "
             f"{s.traffic.num_messages} messages x {s.traffic.message_bytes} bytes "
@@ -479,9 +479,6 @@ SPEC_KINDS: dict[str, SpecKind] = {
     ),
 }
 
-_SPEC_ERRORS = tuple(kind.error for kind in SPEC_KINDS.values())
-
-
 def spec_kind(data: object) -> str:
     """The kind of a parsed spec file, read off its top-level keys.
 
@@ -502,8 +499,8 @@ def _load_spec(path: str, kind: SpecKind | None = None) -> tuple[SpecKind, Any]:
     A file that cannot be read or parsed raises ``kind``'s error, the
     scenario error when the kind is to be sniffed.
     """
-    reader = kind or SPEC_KINDS["scenario"]
-    data = read_spec_file(path, reader.noun, reader.error)
+    reader = (kind or SPEC_KINDS["scenario"]).spec
+    data = read_spec_file(path, reader.KIND, reader.Error)
     kind = kind or SPEC_KINDS[spec_kind(data)]
     return kind, kind.spec.from_dict(data, source=path)
 
@@ -521,7 +518,7 @@ def cmd_run(args) -> int:
         return 2
     try:
         kind, spec = _load_spec(getattr(args, given[0].flag), given[0])
-    except _SPEC_ERRORS as exc:
+    except SpecError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     label = f" — {spec.description}" if spec.description else ""
@@ -565,7 +562,7 @@ def cmd_scenario_validate(args) -> int:
     for path in files:
         try:
             kind, spec = _load_spec(path)
-        except _SPEC_ERRORS as exc:
+        except SpecError as exc:
             failures += 1
             print(f"FAIL  {exc}")
             continue
@@ -583,7 +580,7 @@ def cmd_scenario_list(args) -> int:
     for path in files:
         try:
             kind, spec = _load_spec(path)
-        except _SPEC_ERRORS:
+        except SpecError:
             rows.append([os.path.basename(path), "(invalid)", "-", "-", "-"])
             continue
         rows.append(

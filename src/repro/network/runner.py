@@ -1,11 +1,11 @@
 """Spec-driven network execution over the parallel runtime.
 
 :func:`run_network` fans a :class:`NetworkSpec`'s links out over the
-:class:`~repro.runtime.executor.ParallelExecutor` through the same spec
-transport, cache, and checkpoint machinery as scenario sweeps: the only
-things shipped to workers are the network's ``to_dict()`` payload and
-link indices, every worker rebuilds its simulator from the spec, results
-are memoized per link under the canonical spec hash, and completed links
+:class:`~repro.runtime.executor.ParallelExecutor` through
+:func:`~repro.runtime.grid.run_spec`, like every other spec kind: the
+network's ``to_dict()`` is the payload and a task ships only its link
+index, every worker rebuilds its simulator from the spec, results are
+memoized per link under the canonical spec hash, and completed links
 checkpoint incrementally so an interrupted run resumes bit-identically.
 """
 
@@ -22,8 +22,7 @@ from repro.runtime import (
     ResultCache,
     SweepTiming,
     cached_record,
-    run_grid,
-    stable_hash,
+    run_spec,
 )
 
 if TYPE_CHECKING:
@@ -152,16 +151,9 @@ def run_network(
     under the network's canonical spec hash, so a rerun of the *same*
     network recomputes only unfinished links.
     """
-    spec_dict = spec.to_dict()
-    records, timing = run_grid(
-        evaluate_network_link,
-        range(spec.num_links),
-        key=stable_hash({"network": spec_dict}),
-        payload={"network": spec_dict},
-        executor=executor,
-        cache=cache,
-        checkpoint=checkpoint,
-        packets=spec.packets,
+    records, timing = run_spec(
+        evaluate_network_link, spec, range(spec.num_links), packets=spec.packets,
+        executor=executor, cache=cache, checkpoint=checkpoint,
     )
     return NetworkResult(spec=spec, records=records, timing=timing)
 

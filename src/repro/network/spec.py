@@ -33,15 +33,13 @@ two links ever share an RNG substream.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.core.config import BHSSConfig
 from repro.jamming.base import Jammer
 from repro.jamming.registry import jammer_from_spec
-from repro.utils.validation import read_spec_file
+from repro.utils.spec import SpecError, SpecFile, require_int, require_number
 
 __all__ = ["LinkSpec", "NetworkError", "NetworkSpec"]
 
@@ -49,22 +47,8 @@ __all__ = ["LinkSpec", "NetworkError", "NetworkSpec"]
 NO_JAMMER: dict[str, Any] = {"type": "none"}
 
 
-class NetworkError(ValueError):
+class NetworkError(SpecError):
     """A network spec failed validation; the message names the field."""
-
-
-def _require_int(value: object, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise NetworkError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise NetworkError(f"{path}: must be >= {minimum}, got {value}")
-    return int(value)
-
-
-def _require_number(value: object, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise NetworkError(f"{path}: expected a number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -106,12 +90,15 @@ class LinkSpec:
         path = f"link {self.name!r}"
         if not isinstance(self.config, BHSSConfig):
             raise NetworkError(f"{path}.config: must be a BHSSConfig (use from_dict for specs)")
-        _require_int(self.seed, f"{path}.seed")
-        object.__setattr__(self, "snr_db", _require_number(self.snr_db, f"{path}.snr_db"))
-        object.__setattr__(self, "sjr_db", _require_number(self.sjr_db, f"{path}.sjr_db"))
+        require_int(self.seed, f"{path}.seed", NetworkError)
+        for name in ("snr_db", "sjr_db"):
+            value = require_number(getattr(self, name), f"{path}.{name}", NetworkError)
+            object.__setattr__(self, name, value)
         if not isinstance(self.jammer, dict):
             raise NetworkError(f"{path}.jammer: must be a registry spec mapping")
-        _require_int(self.jammer_delay_samples, f"{path}.jammer_delay_samples", minimum=0)
+        require_int(
+            self.jammer_delay_samples, f"{path}.jammer_delay_samples", NetworkError, minimum=0
+        )
 
     @property
     def jammed(self) -> bool:
@@ -190,18 +177,18 @@ def _coupling_entry(value: object, path: str, diagonal: bool) -> float | None:
         return None
     if value is None:
         return None
-    return _require_number(value, path)
+    return require_number(value, path, NetworkError)
 
 
 def _delay_entry(value: object, path: str, diagonal: bool) -> int:
-    out = _require_int(value, path, minimum=0)
+    out = require_int(value, path, NetworkError, minimum=0)
     if diagonal and out != 0:
         raise NetworkError(f"{path}: diagonal delay must be 0")
     return out
 
 
 @dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(SpecFile):
     """N BHSS links superposed in one shared-spectrum medium.
 
     Attributes
@@ -232,6 +219,10 @@ class NetworkSpec:
     delay_samples: "tuple[tuple[int, ...], ...] | None" = None
     packets: int = 20
     description: str = ""
+
+    KIND = "network"
+    Error = NetworkError
+    FIELDS = frozenset({"name", "description", "links", "coupling_db", "delay_samples", "packets"})
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
@@ -274,7 +265,7 @@ class NetworkSpec:
                 "delay_samples",
                 _validated_matrix(self.delay_samples, n, "delay_samples", _delay_entry),
             )
-        _require_int(self.packets, "packets", minimum=1)
+        require_int(self.packets, "packets", NetworkError, minimum=1)
         if not isinstance(self.description, str):
             raise NetworkError("description: must be a string")
 
@@ -310,7 +301,7 @@ class NetworkSpec:
         seeds, coupling, and operating points are untouched, so the only
         difference between two counts is which jammers transmit.
         """
-        count = _require_int(count, "count", minimum=0)
+        count = require_int(count, "count", NetworkError, minimum=0)
         kept = 0
         links = []
         for link in self.links:
@@ -352,52 +343,23 @@ class NetworkSpec:
         specs are deep-validated, so a bad field fails here, not
         mid-run.
         """
-        prefix = f"{source}: " if source else ""
-        try:
-            if not isinstance(data, dict):
-                raise NetworkError(f"network spec must be a mapping, got {type(data).__name__}")
-            known = {
-                "name", "description", "links", "coupling_db",
-                "delay_samples", "packets",
-            }
-            unknown = set(data) - known
-            if unknown:
-                raise NetworkError(f"unknown network field(s): {sorted(unknown)}")
-            if "name" not in data:
-                raise NetworkError("name: field is required")
-            raw_links = data.get("links")
-            if not isinstance(raw_links, list) or not raw_links:
-                raise NetworkError("links: must be a non-empty list of link specs")
-            links = tuple(
-                LinkSpec.from_dict(entry, path=f"links[{i}]")
-                for i, entry in enumerate(raw_links)
-            )
-            kwargs: dict[str, Any] = {
-                "name": data["name"],
-                "links": links,
-                "coupling_db": data.get("coupling_db"),
-                "delay_samples": data.get("delay_samples"),
-                "description": data.get("description", ""),
-            }
-            if "packets" in data:
-                kwargs["packets"] = data["packets"]
-            return cls(**kwargs).validate()
-        except NetworkError as exc:
-            if prefix:
-                raise NetworkError(f"{prefix}{exc}") from None
-            raise
-
-    def save(self, path: str) -> str:
-        """Write the network spec as pretty-printed JSON; returns the path."""
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+        return cls._read(data, source, cls._parse)
 
     @classmethod
-    def load(cls, path: str) -> "NetworkSpec":
-        """Read and validate a network JSON file."""
-        return cls.from_dict(read_spec_file(path, "network", NetworkError), source=path)
+    def _parse(cls, data: dict) -> "NetworkSpec":
+        raw_links = data.get("links")
+        if not isinstance(raw_links, list) or not raw_links:
+            raise NetworkError("links: must be a non-empty list of link specs")
+        links = tuple(
+            LinkSpec.from_dict(entry, path=f"links[{i}]") for i, entry in enumerate(raw_links)
+        )
+        kwargs: dict[str, Any] = {
+            "name": data["name"],
+            "links": links,
+            "coupling_db": data.get("coupling_db"),
+            "delay_samples": data.get("delay_samples"),
+            "description": data.get("description", ""),
+        }
+        if "packets" in data:
+            kwargs["packets"] = data["packets"]
+        return cls(**kwargs).validate()

@@ -2,10 +2,11 @@
 
 :func:`run_session` evaluates a :class:`~repro.protocol.spec.SessionSpec`'s
 operating-point grid into a tidy
-:class:`~repro.analysis.sweep.SweepResult`, going through the same spec
-transport as scenario/network/arena runs: workers receive only the
-session's ``to_dict()`` payload plus ``(snr_db, sjr_db)`` tuples and
-rebuild everything locally.  Each grid point gets a *fresh*
+:class:`~repro.analysis.sweep.SweepResult` through
+:func:`~repro.runtime.grid.run_spec`, like every other spec kind: the
+session's ``to_dict()`` is the payload, a task ships only its index into
+the ``(snr_db, sjr_db)`` grid, and each point rebuilds everything
+locally.  Each grid point gets a *fresh*
 :class:`~repro.protocol.session.SessionManager` (fresh jammer, fresh
 reassembler), so stateful jammers are order-free at the sweep level and a
 pooled run is bit-identical to a serial one.
@@ -25,8 +26,7 @@ from repro.runtime import (
     ResultCache,
     SweepCheckpoint,
     cached_record,
-    run_grid,
-    stable_hash,
+    run_spec,
 )
 from repro.runtime.faults import FaultPlan
 
@@ -129,15 +129,8 @@ def run_session(
     """
     from repro.analysis.sweep import SweepResult
 
-    spec_dict = spec.to_dict()
-    records, timing = run_grid(
-        evaluate_session_point,
-        spec.points(),
-        key=stable_hash({"session": spec_dict}),
-        payload={"session": spec_dict},
-        executor=executor,
-        cache=cache,
-        checkpoint=checkpoint,
-        packets=spec.num_fragments(),
+    records, timing = run_spec(
+        evaluate_session_point, spec, spec.points(), packets=spec.num_fragments(),
+        executor=executor, cache=cache, checkpoint=checkpoint,
     )
     return SweepResult.from_records(SESSION_COLUMNS, records, timing)

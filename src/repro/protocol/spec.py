@@ -28,10 +28,8 @@ a pool worker rebuilds carries the same budget the parent resolved.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,7 +38,8 @@ from repro.jamming.registry import jammer_from_spec
 from repro.protocol.hopseed import seed_generator_from_spec
 from repro.protocol.packetizer import HEADER_BYTES, MIN_MTU
 from repro.utils.rng import child_rng
-from repro.utils.validation import read_spec_file
+from repro.utils.spec import SpecError, SpecFile, grid_values, require_int, require_number
+from repro.utils.validation import env_int
 
 if TYPE_CHECKING:
     from repro.analysis.sweep import SweepResult
@@ -59,56 +58,18 @@ __all__ = [
 HANDSHAKE_CHUNK_BYTES = 8
 
 
-class SessionError(ValueError):
+class SessionError(SpecError):
     """A session spec failed validation; the message names the field."""
 
 
 def default_sync_retries() -> int:
     """The ``REPRO_SYNC_RETRIES`` re-sync round budget (default 3)."""
-    raw = os.environ.get("REPRO_SYNC_RETRIES")
-    if raw is None or not raw.strip():
-        return 3
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SessionError(f"REPRO_SYNC_RETRIES must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise SessionError(f"REPRO_SYNC_RETRIES must be >= 1, got {value}")
-    return value
+    return env_int("REPRO_SYNC_RETRIES", 3, 1, SessionError)
 
 
 def default_sync_timeout() -> int:
     """The ``REPRO_SYNC_TIMEOUT`` handshake attempts per round (default 4)."""
-    raw = os.environ.get("REPRO_SYNC_TIMEOUT")
-    if raw is None or not raw.strip():
-        return 4
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SessionError(f"REPRO_SYNC_TIMEOUT must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise SessionError(f"REPRO_SYNC_TIMEOUT must be >= 1, got {value}")
-    return value
-
-
-def _require_int(value: Any, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SessionError(f"{path}: must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise SessionError(f"{path}: must be >= {minimum}, got {value}")
-    return value
-
-
-def _require_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SessionError(f"{path}: must be a number, got {value!r}")
-    return float(value)
-
-
-def _grid_values(values: object, path: str) -> tuple[float, ...]:
-    if not isinstance(values, (list, tuple)) or not values:
-        raise SessionError(f"{path}: must be a non-empty list of numbers")
-    return tuple(_require_number(v, f"{path}[{i}]") for i, v in enumerate(values))
+    return env_int("REPRO_SYNC_TIMEOUT", 4, 1, SessionError)
 
 
 @dataclass(frozen=True)
@@ -126,13 +87,13 @@ class MessageTrafficSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_int(self.num_messages, "traffic.num_messages", minimum=1)
+        require_int(self.num_messages, "traffic.num_messages", SessionError, minimum=1)
         if self.num_messages > 256:
             raise SessionError(
                 f"traffic.num_messages: at most 256 (one id byte), got {self.num_messages}"
             )
-        _require_int(self.message_bytes, "traffic.message_bytes", minimum=1)
-        _require_int(self.seed, "traffic.seed")
+        require_int(self.message_bytes, "traffic.message_bytes", SessionError, minimum=1)
+        require_int(self.seed, "traffic.seed", SessionError)
 
     def messages(self) -> list[bytes]:
         """The session's message payloads, in transmission order."""
@@ -166,7 +127,7 @@ class MessageTrafficSpec:
 
 
 @dataclass(frozen=True)
-class SessionSpec:
+class SessionSpec(SpecFile):
     """A complete, serializable seed-synchronized session.
 
     Attributes
@@ -227,6 +188,15 @@ class SessionSpec:
     max_slots: int = 0
     description: str = ""
 
+    KIND = "session"
+    Error = SessionError
+    FIELDS = frozenset({
+        "name", "description", "config", "traffic", "jammer", "seed_generator",
+        "grid", "seed", "packets_per_epoch", "crc_fail_threshold",
+        "min_epoch_utilization", "resync_retries", "sync_timeout",
+        "backoff_base", "max_slots",
+    })
+
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise SessionError("name: must be a non-empty string")
@@ -238,12 +208,14 @@ class SessionSpec:
             raise SessionError("jammer: must be a registry spec mapping")
         if not isinstance(self.seed_generator, dict):
             raise SessionError("seed_generator: must be a registry spec mapping")
-        object.__setattr__(self, "snr_db", _grid_values(self.snr_db, "grid.snr_db"))
-        object.__setattr__(self, "sjr_db", _grid_values(self.sjr_db, "grid.sjr_db"))
-        _require_int(self.seed, "seed")
-        _require_int(self.packets_per_epoch, "packets_per_epoch", minimum=1)
-        _require_int(self.crc_fail_threshold, "crc_fail_threshold", minimum=1)
-        utilization = _require_number(self.min_epoch_utilization, "min_epoch_utilization")
+        object.__setattr__(self, "snr_db", grid_values(self.snr_db, "grid.snr_db", SessionError))
+        object.__setattr__(self, "sjr_db", grid_values(self.sjr_db, "grid.sjr_db", SessionError))
+        require_int(self.seed, "seed", SessionError)
+        require_int(self.packets_per_epoch, "packets_per_epoch", SessionError, minimum=1)
+        require_int(self.crc_fail_threshold, "crc_fail_threshold", SessionError, minimum=1)
+        utilization = require_number(
+            self.min_epoch_utilization, "min_epoch_utilization", SessionError
+        )
         if not 0.0 <= utilization <= 1.0:
             raise SessionError(
                 f"min_epoch_utilization: must be in [0, 1], got {utilization!r}"
@@ -254,17 +226,17 @@ class SessionSpec:
             self,
             "resync_retries",
             default_sync_retries() if retries is None
-            else _require_int(retries, "resync_retries", minimum=1),
+            else require_int(retries, "resync_retries", SessionError, minimum=1),
         )
         timeout = self.sync_timeout
         object.__setattr__(
             self,
             "sync_timeout",
             default_sync_timeout() if timeout is None
-            else _require_int(timeout, "sync_timeout", minimum=1),
+            else require_int(timeout, "sync_timeout", SessionError, minimum=1),
         )
-        _require_int(self.backoff_base, "backoff_base", minimum=1)
-        _require_int(self.max_slots, "max_slots", minimum=0)
+        require_int(self.backoff_base, "backoff_base", SessionError, minimum=1)
+        require_int(self.max_slots, "max_slots", SessionError, minimum=0)
         if not isinstance(self.description, str):
             raise SessionError("description: must be a string")
         mtu = self.config.payload_bytes
@@ -322,10 +294,6 @@ class SessionSpec:
 
         return run_session(self, executor=executor, cache=cache)
 
-    def with_overrides(self, **changes: Any) -> "SessionSpec":
-        """A copy with dataclass fields replaced (validation re-runs)."""
-        return replace(self, **changes)
-
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -351,75 +319,35 @@ class SessionSpec:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict, source: str | None = None) -> "SessionSpec":
+    def from_dict(cls, data: object, source: str | None = None) -> "SessionSpec":
         """Rebuild and validate a session spec from :meth:`to_dict` output.
 
         ``source`` (e.g. a file path) prefixes error messages.  Component
         specs are deep-validated so a bad field fails here, not mid-run.
         """
-        prefix = f"{source}: " if source else ""
-        try:
-            if not isinstance(data, dict):
-                raise SessionError(f"session spec must be a mapping, got {type(data).__name__}")
-            known = {
-                "name", "description", "config", "traffic", "jammer", "seed_generator",
-                "grid", "seed", "packets_per_epoch", "crc_fail_threshold",
-                "min_epoch_utilization", "resync_retries", "sync_timeout",
-                "backoff_base", "max_slots",
-            }
-            unknown = set(data) - known
-            if unknown:
-                raise SessionError(f"unknown session field(s): {sorted(unknown)}")
-            if "name" not in data:
-                raise SessionError("name: field is required")
-            grid = data.get("grid", {})
-            if not isinstance(grid, dict):
-                raise SessionError("grid: must be a mapping with snr_db/sjr_db lists")
-            grid_unknown = set(grid) - {"snr_db", "sjr_db"}
-            if grid_unknown:
-                raise SessionError(f"unknown grid field(s): {sorted(grid_unknown)}")
-            try:
-                config = BHSSConfig.from_dict(data.get("config", {}))
-            except ValueError as exc:
-                raise SessionError(f"config: {exc}") from None
-            traffic = MessageTrafficSpec.from_dict(data.get("traffic", {}))
-            description = data.get("description", "")
-            kwargs: dict = {
-                "name": data["name"],
-                "config": config,
-                "traffic": traffic,
-                "jammer": data.get("jammer", {"type": "none"}),
-                "seed_generator": data.get("seed_generator", {"type": "counter", "key": 0}),
-                "description": description,
-            }
-            if "snr_db" in grid:
-                kwargs["snr_db"] = grid["snr_db"]
-            if "sjr_db" in grid:
-                kwargs["sjr_db"] = grid["sjr_db"]
-            for key in (
-                "seed", "packets_per_epoch", "crc_fail_threshold",
-                "min_epoch_utilization", "resync_retries", "sync_timeout",
-                "backoff_base", "max_slots",
-            ):
-                if key in data:
-                    kwargs[key] = data[key]
-            return cls(**kwargs).validate()
-        except SessionError as exc:
-            if prefix:
-                raise SessionError(f"{prefix}{exc}") from None
-            raise
-
-    def save(self, path: str) -> str:
-        """Write the session spec as pretty-printed JSON; returns the path."""
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+        return cls._read(data, source, cls._parse)
 
     @classmethod
-    def load(cls, path: str) -> "SessionSpec":
-        """Read and validate a session JSON file."""
-        return cls.from_dict(read_spec_file(path, "session", SessionError), source=path)
+    def _parse(cls, data: dict) -> "SessionSpec":
+        grid = cls._grid(data)
+        try:
+            config = BHSSConfig.from_dict(data.get("config", {}))
+        except ValueError as exc:
+            raise SessionError(f"config: {exc}") from None
+        kwargs: dict = {
+            "name": data["name"],
+            "config": config,
+            "traffic": MessageTrafficSpec.from_dict(data.get("traffic", {})),
+            "jammer": data.get("jammer", {"type": "none"}),
+            "seed_generator": data.get("seed_generator", {"type": "counter", "key": 0}),
+            "description": data.get("description", ""),
+            **grid,
+        }
+        for key in (
+            "seed", "packets_per_epoch", "crc_fail_threshold",
+            "min_epoch_utilization", "resync_retries", "sync_timeout",
+            "backoff_base", "max_slots",
+        ):
+            if key in data:
+                kwargs[key] = data[key]
+        return cls(**kwargs).validate()

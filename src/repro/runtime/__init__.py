@@ -6,13 +6,15 @@ and packet chunks can be fanned out over a process pool and merged in
 deterministic order, producing *bit-identical* results to a serial run.
 This package provides the pieces the analysis layer threads through:
 
-``run_grid``
+``run_grid`` / ``run_spec``
     The one driver every grid run goes through (raw sweeps, scenarios,
     networks, arenas, sessions): checkpoint load and resume, the
     ordered executor map with incremental persistence, flush on
-    interrupt, the in-order merge and the ``SweepTiming``.  Each public
-    runner is a thin adapter that supplies its items, its module-level
-    point evaluator, its payload and its checkpoint key.
+    interrupt, the in-order merge and the ``SweepTiming``.  The four
+    spec runners are each one ``run_spec`` call, which ships the spec
+    file as the payload and names the checkpoint after it; they supply
+    only their items, their module-level point evaluator and their
+    packet count.
 ``ParallelExecutor``
     Ordered, fork-based ``map`` over a ``multiprocessing`` pool with a
     serial fallback (the default when ``REPRO_WORKERS`` is unset) —
@@ -64,7 +66,7 @@ from repro.runtime.executor import (
     resolve_workers,
 )
 from repro.runtime.faults import FaultPlan, InjectedCrash, inject_faults
-from repro.runtime.grid import run_grid
+from repro.runtime.grid import run_grid, run_spec
 from repro.runtime.instrument import SweepTiming
 
 __all__ = [
@@ -75,6 +77,7 @@ __all__ = [
     "cached_record",
     "resolve_cache",
     "run_grid",
+    "run_spec",
     "canonical",
     "stable_hash",
     "SweepCheckpoint",

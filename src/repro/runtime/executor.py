@@ -59,6 +59,7 @@ from typing import Callable, Iterable
 
 from repro.runtime.errors import TaskError, TaskTimeout, WorkerCrash
 from repro.runtime.faults import InjectedCrash, inject_faults
+from repro.utils.validation import env_int
 
 __all__ = [
     "ParallelExecutor",
@@ -125,16 +126,7 @@ def resolve_workers(env: str = "REPRO_WORKERS") -> int:
     Negative or non-integer values raise ``ValueError`` naming the
     variable — garbage never silently means "unset".
     """
-    raw = os.environ.get(env)
-    if raw is None or raw.strip() == "":
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{env} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"{env} must be >= 0, got {value}")
-    return value
+    return env_int(env, 0, 0)
 
 
 def resolve_batch(env: str = "REPRO_BATCH") -> int:
@@ -148,16 +140,7 @@ def resolve_batch(env: str = "REPRO_BATCH") -> int:
     packets — results are bit-identical under every cap.  Negative or
     non-integer values raise ``ValueError`` naming the variable.
     """
-    raw = os.environ.get(env)
-    if raw is None or raw.strip() == "":
-        return DEFAULT_BATCH
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{env} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"{env} must be >= 0, got {value}")
-    return value
+    return env_int(env, DEFAULT_BATCH, 0)
 
 
 def resolve_timeout(env: str = "REPRO_TIMEOUT") -> float | None:
@@ -188,16 +171,7 @@ def resolve_retries(env: str = "REPRO_RETRIES") -> int:
     backoff) before the sweep raises.  Negative or non-integer values
     raise ``ValueError`` naming the variable.
     """
-    raw = os.environ.get(env)
-    if raw is None or raw.strip() == "":
-        return DEFAULT_RETRIES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{env} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"{env} must be >= 0, got {value}")
-    return value
+    return env_int(env, DEFAULT_RETRIES, 0)
 
 
 def _backoff_seconds(failure_count: int) -> float:

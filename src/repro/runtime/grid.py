@@ -6,7 +6,9 @@ flush on interrupt, removal on completion), the pending-index
 computation, the ordered executor map, the in-order merge of
 checkpointed and fresh records, and the :class:`SweepTiming`.
 
-Spec grids run ``runner(payload, item)`` through
+Spec grids go through :func:`run_spec`, which ships a spec file's
+``to_dict()`` as the payload and names the checkpoint after it; they run
+``runner(payload, item)`` through
 :meth:`ParallelExecutor.map_spec`; the driver adds the flattened
 ``cache`` argument to the payload, so workers resolve the same store
 with :func:`~repro.runtime.cache.resolve_cache`.  Closure grids (raw
@@ -17,14 +19,42 @@ so a task ships only its index.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.runtime.cache import ResultCache, resolve_cache
+from repro.runtime.cache import ResultCache, resolve_cache, stable_hash
 from repro.runtime.checkpoint import SweepCheckpoint, make_checkpoint, resolve_checkpoint_dir
 from repro.runtime.executor import ParallelExecutor, resolve_batch
 from repro.runtime.instrument import SweepTiming
 
-__all__ = ["run_grid"]
+if TYPE_CHECKING:
+    from repro.utils.spec import SpecFile
+
+__all__ = ["run_grid", "run_spec"]
+
+
+def run_spec(
+    runner: Callable,
+    spec: "SpecFile",
+    items: Sequence,
+    *,
+    packets: int,
+    executor: ParallelExecutor | None = None,
+    cache: "ResultCache | str | bool | None" = None,
+    checkpoint: "SweepCheckpoint | str | bool | None" = None,
+) -> tuple[list, SweepTiming]:
+    """:func:`run_grid` of ``runner(payload, item)`` over a spec file's ``items``.
+
+    The payload is ``{spec.KIND: spec.to_dict()}`` and names the
+    checkpoint by its hash; a scenario's checkpoint hashes the bare spec
+    dict, as scenario checkpoints always have.
+    """
+    spec_dict = spec.to_dict()
+    payload = {spec.KIND: spec_dict}
+    key = spec_dict if spec.KIND == "scenario" else payload
+    return run_grid(
+        runner, items, key=lambda: stable_hash(key), payload=payload,
+        executor=executor, cache=cache, checkpoint=checkpoint, packets=packets,
+    )
 
 
 def run_grid(

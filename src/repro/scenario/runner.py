@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.runtime import (
-    ParallelExecutor,
-    ResultCache,
-    SweepCheckpoint,
-    run_grid,
-    stable_hash,
-)
+from repro.runtime import ParallelExecutor, ResultCache, SweepCheckpoint, run_spec
 
 if TYPE_CHECKING:
     from repro.analysis.sweep import SweepResult
@@ -69,7 +63,7 @@ def run_scenario(
 ) -> "SweepResult":
     """Evaluate a scenario's grid into a :class:`SweepResult`.
 
-    A thin adapter over :func:`~repro.runtime.grid.run_grid`.
+    A thin adapter over :func:`~repro.runtime.grid.run_spec`.
     ``executor`` defaults to the ``REPRO_WORKERS``-configured pool (serial
     when unset); grid points are merged in grid order either way.
     ``cache`` follows :func:`~repro.runtime.cache.resolve_cache`:
@@ -90,15 +84,8 @@ def run_scenario(
     """
     from repro.analysis.sweep import SweepResult
 
-    spec_dict = scenario.to_dict()
-    records, timing = run_grid(
-        evaluate_scenario_point,
-        scenario.points(),
-        key=stable_hash(spec_dict),
-        payload={"scenario": spec_dict},
-        executor=executor,
-        cache=cache,
-        checkpoint=checkpoint,
-        packets=scenario.packets,
+    records, timing = run_spec(
+        evaluate_scenario_point, scenario, scenario.points(), packets=scenario.packets,
+        executor=executor, cache=cache, checkpoint=checkpoint,
     )
     return SweepResult.from_records(SCENARIO_COLUMNS, records, timing)

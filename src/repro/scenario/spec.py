@@ -23,17 +23,15 @@ in a fleet of JSON files is a one-line diagnosis.
 
 from __future__ import annotations
 
-import json
-import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.channel.registry import channel_from_spec, impairments_from_spec
 from repro.core.config import BHSSConfig
 from repro.jamming.base import Jammer
 from repro.jamming.registry import jammer_from_spec
-from repro.utils.validation import read_spec_file
+from repro.utils.spec import SpecError, SpecFile, grid_values, require_int
 
 if TYPE_CHECKING:
     from repro.analysis.sweep import SweepResult
@@ -43,23 +41,12 @@ if TYPE_CHECKING:
 __all__ = ["Scenario", "ScenarioError"]
 
 
-class ScenarioError(ValueError):
+class ScenarioError(SpecError):
     """A scenario spec failed validation; the message names the field."""
 
 
-def _grid_values(values: object, path: str) -> tuple[float, ...]:
-    if not isinstance(values, (list, tuple)) or not values:
-        raise ScenarioError(f"{path}: must be a non-empty list of numbers")
-    out = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ScenarioError(f"{path}[{i}]: expected a number, got {v!r}")
-        out.append(float(v))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(SpecFile):
     """A complete, serializable evaluation scenario.
 
     Attributes
@@ -98,6 +85,13 @@ class Scenario:
     impairments: dict | None = None
     description: str = ""
 
+    KIND = "scenario"
+    Error = ScenarioError
+    FIELDS = frozenset({
+        "name", "description", "config", "jammer", "channel",
+        "impairments", "grid", "packets", "seed", "backend",
+    })
+
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ScenarioError("name: must be a non-empty string")
@@ -105,12 +99,10 @@ class Scenario:
             raise ScenarioError("config: must be a BHSSConfig (use from_dict for specs)")
         if not isinstance(self.jammer, dict):
             raise ScenarioError("jammer: must be a registry spec mapping")
-        object.__setattr__(self, "snr_db", _grid_values(self.snr_db, "grid.snr_db"))
-        object.__setattr__(self, "sjr_db", _grid_values(self.sjr_db, "grid.sjr_db"))
-        if isinstance(self.packets, bool) or not isinstance(self.packets, int) or self.packets < 1:
-            raise ScenarioError("packets: must be an integer >= 1")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ScenarioError("seed: must be an integer")
+        object.__setattr__(self, "snr_db", grid_values(self.snr_db, "grid.snr_db", ScenarioError))
+        object.__setattr__(self, "sjr_db", grid_values(self.sjr_db, "grid.sjr_db", ScenarioError))
+        require_int(self.packets, "packets", ScenarioError, minimum=1)
+        require_int(self.seed, "seed", ScenarioError)
 
     # -- construction ---------------------------------------------------------
 
@@ -157,10 +149,6 @@ class Scenario:
 
         return run_scenario(self, executor=executor, cache=cache)
 
-    def with_overrides(self, **changes: Any) -> "Scenario":
-        """A copy with dataclass fields replaced (validation re-runs)."""
-        return replace(self, **changes)
-
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -182,7 +170,7 @@ class Scenario:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict, source: str | None = None) -> "Scenario":
+    def from_dict(cls, data: object, source: str | None = None) -> "Scenario":
         """Rebuild and validate a scenario from :meth:`to_dict` output.
 
         ``source`` (e.g. a file path) prefixes error messages.  Component
@@ -191,78 +179,43 @@ class Scenario:
         here, not mid-sweep; the link itself is built only by
         :meth:`build`, once per grid point.
         """
-        prefix = f"{source}: " if source else ""
-        try:
-            if not isinstance(data, dict):
-                raise ScenarioError(f"scenario spec must be a mapping, got {type(data).__name__}")
-            known = {
-                "name", "description", "config", "jammer", "channel",
-                "impairments", "grid", "packets", "seed", "backend",
-            }
-            unknown = set(data) - known
-            if unknown:
-                raise ScenarioError(f"unknown scenario field(s): {sorted(unknown)}")
-            if "backend" in data:
-                # Older files may pin "numpy", once the default compute
-                # backend and now the only DSP chain; nothing else loads.
-                if data["backend"] != "numpy":
-                    raise ScenarioError(
-                        f"backend: the field is no longer supported and only the "
-                        f"value 'numpy' is accepted, got {data['backend']!r}"
-                    )
-                warnings.warn(
-                    f"{prefix}scenario field 'backend' is deprecated and ignored",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            if "name" not in data:
-                raise ScenarioError("name: field is required")
-            grid = data.get("grid", {})
-            if not isinstance(grid, dict):
-                raise ScenarioError("grid: must be a mapping with snr_db/sjr_db lists")
-            grid_unknown = set(grid) - {"snr_db", "sjr_db"}
-            if grid_unknown:
-                raise ScenarioError(f"unknown grid field(s): {sorted(grid_unknown)}")
-            try:
-                config = BHSSConfig.from_dict(data.get("config", {}))
-            except ValueError as exc:
-                raise ScenarioError(f"config: {exc}") from None
-            description = data.get("description", "")
-            if not isinstance(description, str):
-                raise ScenarioError("description: must be a string")
-            kwargs: dict = {
-                "name": data["name"],
-                "config": config,
-                "jammer": data.get("jammer", {"type": "none"}),
-                "channel": data.get("channel"),
-                "impairments": data.get("impairments"),
-                "description": description,
-            }
-            if "snr_db" in grid:
-                kwargs["snr_db"] = grid["snr_db"]
-            if "sjr_db" in grid:
-                kwargs["sjr_db"] = grid["sjr_db"]
-            if "packets" in data:
-                kwargs["packets"] = data["packets"]
-            if "seed" in data:
-                kwargs["seed"] = data["seed"]
-            return cls(**kwargs).validate()
-        except ScenarioError as exc:
-            if prefix:
-                raise ScenarioError(f"{prefix}{exc}") from None
-            raise
-
-    def save(self, path: str) -> str:
-        """Write the scenario as pretty-printed JSON; returns the path."""
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+        scenario = cls._read(data, source, cls._parse)
+        if isinstance(data, dict) and "backend" in data:
+            prefix = f"{source}: " if source else ""
+            warnings.warn(
+                f"{prefix}scenario field 'backend' is deprecated and ignored",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+        return scenario
 
     @classmethod
-    def load(cls, path: str) -> "Scenario":
-        """Read and validate a scenario JSON file."""
-        return cls.from_dict(read_spec_file(path, "scenario", ScenarioError), source=path)
+    def _parse(cls, data: dict) -> "Scenario":
+        # Older files may pin "numpy", once the default compute backend
+        # and now the only DSP chain; nothing else loads.
+        if data.get("backend", "numpy") != "numpy":
+            raise ScenarioError(
+                f"backend: the field is no longer supported and only the "
+                f"value 'numpy' is accepted, got {data['backend']!r}"
+            )
+        grid = cls._grid(data)
+        try:
+            config = BHSSConfig.from_dict(data.get("config", {}))
+        except ValueError as exc:
+            raise ScenarioError(f"config: {exc}") from None
+        description = data.get("description", "")
+        if not isinstance(description, str):
+            raise ScenarioError("description: must be a string")
+        kwargs: dict = {
+            "name": data["name"],
+            "config": config,
+            "jammer": data.get("jammer", {"type": "none"}),
+            "channel": data.get("channel"),
+            "impairments": data.get("impairments"),
+            "description": description,
+            **grid,
+        }
+        for key in ("packets", "seed"):
+            if key in data:
+                kwargs[key] = data[key]
+        return cls(**kwargs).validate()

@@ -9,6 +9,7 @@ deep inside a simulation run.
 from __future__ import annotations
 
 import json
+import os
 from typing import Any
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "as_complex_array",
     "as_float_array",
     "read_spec_file",
+    "env_int",
 ]
 
 
@@ -112,3 +114,22 @@ def read_spec_file(path: str, noun: str, error: type[Exception]) -> Any:
         raise error(f"{path}: cannot read {noun} file ({exc})") from None
     except ValueError as exc:
         raise error(f"{path}: invalid JSON ({exc})") from None
+
+
+def env_int(name: str, default: int, minimum: int, error: type[Exception] = ValueError) -> int:
+    """The integer environment variable ``name``; ``default`` when unset or blank.
+
+    A value that is not an integer raises ``error("<name> must be an
+    integer, got ...")``; one below ``minimum`` raises ``error("<name>
+    must be >= <minimum>, got ...")``.
+    """
+    raw = os.environ.get(name)
+    if raw is None or not raw.strip():
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise error(f"{name} must be an integer, got {raw!r}") from None
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return value

@@ -125,10 +125,10 @@ class TestSpecFileReader:
     def test_missing_file(self, tmp_path, name):
         kind = SPEC_KINDS[name]
         path = str(tmp_path / "missing.json")
-        message = f"missing.json: cannot read {kind.noun} file"
-        with pytest.raises(kind.error, match=message):
+        message = f"missing.json: cannot read {kind.spec.KIND} file"
+        with pytest.raises(kind.spec.Error, match=message):
             kind.spec.load(path)
-        with pytest.raises(kind.error, match=message):
+        with pytest.raises(kind.spec.Error, match=message):
             _load_spec(path, kind)
 
     @pytest.mark.parametrize("name", sorted(SPEC_KINDS))
@@ -136,9 +136,9 @@ class TestSpecFileReader:
         kind = SPEC_KINDS[name]
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(kind.error, match="bad.json: invalid JSON"):
+        with pytest.raises(kind.spec.Error, match="bad.json: invalid JSON"):
             kind.spec.load(str(path))
-        with pytest.raises(kind.error, match="bad.json: invalid JSON"):
+        with pytest.raises(kind.spec.Error, match="bad.json: invalid JSON"):
             _load_spec(str(path), kind)
 
 
